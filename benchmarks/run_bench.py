@@ -10,7 +10,9 @@ Measures the performance claims of the kernel work:
   measured memo hit-rate,
 * the pruned best-first search (exact, bit-identical) and the pruned
   search + continuous polish (toleranced, objective-dominating) vs the
-  exhaustive batched engine, with candidates-evaluated counts, and
+  exhaustive batched engine, with candidates-evaluated counts,
+* real-space symmetry detection on the 24³ Sindbis-like map (wall time,
+  scorer evaluations, detected group), and
 * the process-parallel view scheduler at 1 vs N workers (recorded, not
   asserted — wall-clock scaling depends on the host's core count; on a
   single-CPU host the measurement is skipped and recorded as such).
@@ -320,6 +322,53 @@ def measure_symmetric_vs_full(
     }
 
 
+def measure_symmetry_detect(size: int = 24) -> dict:
+    """Symmetry detection on the Sindbis-like map at the engine's detect defaults.
+
+    Records the wall time, the number of real-space scorer evaluations
+    (counted by wrapping ``score_rotation_real``, through which every
+    score goes) and the detected group, which must be I.
+    """
+    from repro.density import sindbis_like_phantom
+    from repro.engine.config import SymmetryConfig
+    from repro.refine import symmetry_detect
+
+    cfg = SymmetryConfig(mode="detect")
+    density = sindbis_like_phantom(size).normalized()
+    real = symmetry_detect.score_rotation_real
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    symmetry_detect.score_rotation_real = counting
+    try:
+        t0 = time.perf_counter()
+        result = symmetry_detect.detect_symmetry(
+            density,
+            max_order=cfg.detect_max_order,
+            n_axes=cfg.detect_n_axes,
+            accept_factor=cfg.detect_accept_factor,
+            seed=cfg.detect_seed,
+        )
+        dt = time.perf_counter() - t0
+    finally:
+        symmetry_detect.score_rotation_real = real
+    if result.group_name != "I":
+        raise AssertionError(f"detected {result.group_name} on the Sindbis-like map, not I")
+    return {
+        "size": size,
+        "max_order": cfg.detect_max_order,
+        "n_axes": cfg.detect_n_axes,
+        "detect_seconds": round(dt, 3),
+        "score_evaluations": calls,
+        "group": result.group_name,
+        "group_order": result.group.order,
+    }
+
+
 def measure_worker_scaling(
     size: int = 32,
     n_views: int = 8,
@@ -402,6 +451,7 @@ def run_all() -> dict:
         "batched_vs_fused": measure_batched_vs_fused(),
         "pruned_vs_batched": measure_pruned_vs_batched(),
         "symmetric_vs_full": measure_symmetric_vs_full(),
+        "symmetry_detect": measure_symmetry_detect(),
         "worker_scaling": measure_worker_scaling(),
     }
 

@@ -10,9 +10,10 @@ batched engine while running at least 2× faster, never regressing any
 view's objective.  The asymmetric-unit restriction on an icosahedral
 phantom must cut candidate evaluations at least 10× (it achieves the
 full |G| = 60×) with the restricted argmin equal to the exhaustive
-argmin modulo the group.  Worker scaling is recorded but only asserted
-on hosts with at least two CPUs — on a single-CPU host the measurement
-is skipped and recorded as such.
+argmin modulo the group.  Symmetry detection on the 24³ Sindbis-like
+map must find I within 1,000 scorer evaluations.  Worker scaling is
+recorded but only asserted on hosts with at least two CPUs — on a
+single-CPU host the measurement is skipped and recorded as such.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from run_bench import (
     measure_fused_vs_reference,
     measure_pruned_vs_batched,
     measure_symmetric_vs_full,
+    measure_symmetry_detect,
     measure_worker_scaling,
 )
 
@@ -36,6 +38,7 @@ def test_fused_kernel_speedup(save_artifact):
     batched = measure_batched_vs_fused(size=64, n_views=2)
     pruned = measure_pruned_vs_batched(size=64, n_views=2)
     symmetric = measure_symmetric_vs_full(size=64)
+    detect = measure_symmetry_detect(size=24)
     workers = measure_worker_scaling(size=32, n_views=8, worker_counts=(1, 2))
     data = {
         "engine_fingerprint": engine_fingerprint(),
@@ -43,6 +46,7 @@ def test_fused_kernel_speedup(save_artifact):
         "batched_vs_fused": batched,
         "pruned_vs_batched": pruned,
         "symmetric_vs_full": symmetric,
+        "symmetry_detect": detect,
         "worker_scaling": workers,
     }
     BENCH_FILE.write_text(json.dumps(data, indent=2) + "\n")
@@ -67,6 +71,8 @@ def test_fused_kernel_speedup(save_artifact):
     assert symmetric["speedup"] >= 10.0, (
         f"AU restriction wall-clock speedup {symmetric['speedup']}x < 10x"
     )
+    assert detect["group"] == "I"
+    assert detect["score_evaluations"] <= 1000
     if (os.cpu_count() or 1) >= 2:
         assert workers["status"] == "ok"
         assert workers["identical_results"]

@@ -55,6 +55,7 @@ from repro.parallel.perf_model import (
 )
 from repro.pipeline.datasets import phantom_for
 from repro.reconstruct.resolution import fsc_crossing
+from repro.refine.refiner import STEP_SYMMETRY
 from repro.refine.stats import angular_errors, center_errors
 from repro.utils import Timer, default_rng
 
@@ -581,6 +582,8 @@ class ScenarioRunner:
                 polish_calls=run.perf.polish_calls,
             )
         timing = {"wall_seconds": wall}
+        if run.result is not None and STEP_SYMMETRY in run.result.timer.totals:
+            timing["detect_seconds"] = float(run.result.timer.totals[STEP_SYMMETRY])
         if run.perf is not None and run.perf.level_seconds:
             timing["level_seconds"] = {
                 label: float(s) for label, s in run.perf.level_seconds.items()

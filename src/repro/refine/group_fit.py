@@ -138,24 +138,16 @@ def fit_polyhedral_group(
                             u = frame_from_axis_pair(ca, cb, da, sign * db)
                             fitted = np.einsum("ij,njk,lk->nil", u, canon.matrices, u)
                             # cheap screen before the expensive polish
-                            if not _verify_group(scorer, fitted, 2.0 * threshold, 2):
+                            if _verify_group(scorer, fitted, 2.0 * threshold, 2) is None:
                                 continue
                             u = _polish_frame(scorer, u, canon.matrices)
                             fitted = np.einsum("ij,njk,lk->nil", u, canon.matrices, u)
-                            if _verify_group(scorer, fitted, threshold, n_verify):
-                                sub_worst = _worst_element_score(scorer, fitted, n_verify)
+                            worst = _verify_group(scorer, fitted, threshold, n_verify)
+                            if worst is not None:
                                 return _try_supergroups(
-                                    scorer, name, u, threshold, n_verify, sub_worst
+                                    scorer, name, u, threshold, n_verify, worst
                                 )
     return None
-
-
-def _worst_element_score(
-    scorer: RotationScorer, matrices: Array, n_verify: int
-) -> float:
-    order = matrices.shape[0]
-    step = max(1, (order - 1) // n_verify)
-    return max(scorer(matrices[idx]) for idx in range(1, order, step))
 
 
 def _try_supergroups(
@@ -193,7 +185,7 @@ def _try_supergroups(
         for base in (frame, frame @ coset_flip):
             u = _polish_frame(scorer, base, canon_big.matrices)
             fitted_big = np.einsum("ij,njk,lk->nil", u, canon_big.matrices, u)
-            if _verify_group(scorer, fitted_big, bar, n_verify):
+            if _verify_group(scorer, fitted_big, bar, n_verify) is not None:
                 return bigger, SymmetryGroup(bigger, fitted_big)
     fitted = np.einsum("ij,njk,lk->nil", frame, builders[name]().matrices, frame)
     return name, SymmetryGroup(name, fitted)
@@ -224,7 +216,7 @@ def _polish_frame(
 
     res = optimize.minimize(
         objective, np.zeros(3), method="Nelder-Mead",
-        options={"xatol": 5e-4, "fatol": 1e-12, "maxiter": 60},
+        options={"xatol": 5e-4, "fatol": 1e-5, "maxiter": 60},
     )
     angle = np.linalg.norm(res.x)
     if angle < 1e-9:
@@ -234,16 +226,18 @@ def _polish_frame(
 
 def _verify_group(
     scorer: RotationScorer, matrices: Array, threshold: float, n_verify: int
-) -> bool:
+) -> float | None:
+    """Worst score of up to ``n_verify`` evenly sampled non-identity elements.
+
+    ``None`` when an element scores above ``threshold`` (scoring stops at
+    the first such element) or there is no non-identity element.
+    """
     order = matrices.shape[0]
-    if order <= 1:
-        return False
     step = max(1, (order - 1) // n_verify)
-    checked = 0
-    for idx in range(1, order, step):
-        if scorer(matrices[idx]) > threshold:
-            return False
-        checked += 1
-        if checked >= n_verify:
-            break
-    return checked > 0
+    worst: float | None = None
+    for idx in range(1, order, step)[:n_verify]:
+        score = scorer(matrices[idx])
+        if score > threshold:
+            return None
+        worst = score if worst is None else max(worst, score)
+    return worst

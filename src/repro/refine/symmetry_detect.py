@@ -7,7 +7,7 @@ we score candidates by self-consistency under ``g`` and search axes:
 1. score candidate axes from a quasi-uniform sphere grid at orders
    2..max_order;
 2. locally polish promising axes (Nelder–Mead on the two spherical
-   coordinates);
+   coordinates, stopped once the score moves by less than 1e-5);
 3. accept axes scoring far below the null distribution of random
    rotations; attempt a full polyhedral-group fit (T/O/I) on the accepted
    axes (:mod:`repro.refine.group_fit`); otherwise close the generators
@@ -16,7 +16,11 @@ we score candidates by self-consistency under ``g`` and search axes:
 Two scoring backends are available:
 
 * ``method="real"`` (default) — Pearson correlation between the map and its
-  spline-rotated copy; accurate even for smooth, nearly-spherical maps;
+  spline-rotated copy inside the inscribed sphere; accurate even for
+  smooth, nearly-spherical maps.  Everything that does not depend on the
+  rotation (spline coefficients, voxel grid, centred reference and its
+  norm) is computed once per map in a :class:`RealScorePlan`, so a score
+  costs one cubic interpolation of the sphere's voxels;
 * ``method="fourier"`` — the paper-flavored test, comparing central cuts of
   D̂ at probe orientations ``R`` and ``g·R`` with the refinement's own
   distance; cheaper per candidate (O(l²) vs O(l³)) but noisier because the
@@ -49,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an engine cycle)
     from repro.engine.backends import ExecutionBackend
 
 __all__ = [
+    "RealScorePlan",
     "SymmetryDetectionResult",
     "detect_symmetry",
     "score_rotation",
@@ -127,26 +132,80 @@ def remove_radial_average(data: Array) -> Array:
     return data - profile[r]
 
 
-def score_rotation_real(data: Array, rotation: Array) -> float:
-    """Real-backend cost: ``1 − corr(ρ, ρ∘g)`` with cubic-spline rotation.
+@dataclass(frozen=True)
+class RealScorePlan:
+    """The rotation-invariant half of :func:`score_rotation_real`, built once per map.
 
-    The caller is expected to pass a radially-flattened map (see
+    Only voxels inside the inscribed sphere (``r ≤ l/2 − 0.5``) take part:
+    outside it a rotated copy samples mostly the zero padding, so the
+    corners add interpolation work but no symmetry evidence.
+
+    Attributes
+    ----------
+    coeffs:
+        Cubic-spline coefficients of the map (``mode="constant"``), sampled
+        with ``prefilter=False`` — the filter ``map_coordinates`` would
+        otherwise re-run on every call.
+    points:
+        ``(3, n)`` centred voxel coordinates (rows x, y, z) of the sphere.
+    center:
+        Index of the map origin, ``l // 2``.
+    reference:
+        The map at ``points``, minus its mean.
+    reference_norm:
+        ``‖reference‖``.
+    """
+
+    coeffs: Array
+    points: Array
+    center: int
+    reference: Array
+    reference_norm: float
+
+    @classmethod
+    def from_data(cls, data: Array) -> "RealScorePlan":
+        """Build the plan for a cubic map (normally radially flattened)."""
+        l = data.shape[0]
+        c = l // 2
+        k = np.arange(l) - c
+        zz, yy, xx = np.meshgrid(k, k, k, indexing="ij")
+        inside = xx * xx + yy * yy + zz * zz <= (l / 2 - 0.5) ** 2
+        points = np.stack([xx[inside], yy[inside], zz[inside]]).astype(np.float64)
+        reference = data[inside] - data[inside].mean()
+        return cls(
+            coeffs=ndimage.spline_filter(data, 3, output=np.float64, mode="constant"),
+            points=points,
+            center=c,
+            reference=reference,
+            reference_norm=float(np.linalg.norm(reference)),
+        )
+
+
+def score_rotation_real(
+    data: Array, rotation: Array, plan: RealScorePlan | None = None
+) -> float:
+    """Real-backend cost: ``1 − corr(ρ, ρ∘g)`` over the inscribed sphere.
+
+    The rotated copy is a cubic-spline resample.  ``plan`` must come from
+    :meth:`RealScorePlan.from_data` on ``data``; it is built here when
+    omitted, which gives the same bits at a higher price.  The caller is
+    expected to pass a radially-flattened map (see
     :func:`remove_radial_average`); :func:`make_rotation_scorer` does this
     automatically.
     """
-    l = data.shape[0]
-    c = l // 2
-    k = np.arange(l) - c
-    zz, yy, xx = np.meshgrid(k, k, k, indexing="ij")
-    pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3) @ np.asarray(rotation, float).T
-    coords = (pts[:, ::-1] + c).T.reshape(3, l, l, l)
-    rotated = ndimage.map_coordinates(data, coords, order=3, mode="constant")
-    a = data.ravel() - data.mean()
-    b = rotated.ravel() - rotated.mean()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    if plan is None:
+        plan = RealScorePlan.from_data(data)
+    g = np.asarray(rotation, dtype=float)
+    # reversed rows give (z, y, x) index order, as map_coordinates expects
+    coords = g[::-1] @ plan.points + plan.center
+    rotated = ndimage.map_coordinates(
+        plan.coeffs, coords, order=3, mode="constant", prefilter=False
+    )
+    b = rotated - rotated.mean()
+    denom = plan.reference_norm * np.linalg.norm(b)
     if denom == 0:
         return 1.0
-    return float(1.0 - a @ b / denom)
+    return float(1.0 - plan.reference @ b / denom)
 
 
 def make_rotation_scorer(
@@ -159,9 +218,10 @@ def make_rotation_scorer(
     """Build the scoring callable used throughout the detector."""
     if method == "real":
         data = remove_radial_average(density.data)
+        plan = RealScorePlan.from_data(data)
 
         def scorer(rotation: Array) -> float:
-            return score_rotation_real(data, rotation)
+            return score_rotation_real(data, rotation, plan)
 
         return scorer
     if method == "fourier":
@@ -197,8 +257,10 @@ def _sweep_task(payload: tuple[Array, Array, int]) -> list[float]:
     returns the exact numbers the serial loop computes.
     """
     flat, axes, order = payload
+    plan = RealScorePlan.from_data(flat)
     return [
-        score_rotation_real(flat, axis_angle_to_matrix(a, 360.0 / order)) for a in axes
+        score_rotation_real(flat, axis_angle_to_matrix(a, 360.0 / order), plan)
+        for a in axes
     ]
 
 
@@ -216,7 +278,7 @@ def _polish_axis(
 
     res = optimize.minimize(
         objective, np.array([theta0, phi0]), method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 120},
+        options={"xatol": 1e-3, "fatol": 1e-5, "maxiter": 120},
     )
     t, p = res.x
     best = np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
@@ -255,11 +317,14 @@ def detect_symmetry(
     backend:
         Optional :class:`~repro.engine.backends.ExecutionBackend` to fan
         the axis×order coarse sweep out over
-        (:meth:`~repro.engine.backends.ExecutionBackend.run_tasks`).  The
-        sweep dominates the detector's cost; each (axes-chunk, order)
-        cell is an independent pure task, so the fanned-out scores are
-        identical to the serial ones.  ``method="real"`` only; other
-        methods sweep serially.
+        (:meth:`~repro.engine.backends.ExecutionBackend.run_tasks`).
+        Each (axes-chunk, order) cell is an independent pure task that
+        scores through its own :class:`RealScorePlan`, so the fanned-out
+        scores are identical to the serial ones.  The sweep is not the
+        main cost: on the 24³ Sindbis-like map at the engine defaults it
+        is 240 of 851 scores, and the serial axis and frame polish make
+        up 578 of the rest.
+        ``method="real"`` only; other methods sweep serially.
     """
     rng = default_rng(seed)
     scorer = make_rotation_scorer(

@@ -60,6 +60,11 @@ def test_full_matrix_passes_and_rewrites_bench():
     failed = {r.name: r.failures for r in records if not r.passed}
     assert not failed, f"scenario thresholds tripped: {failed}"
 
+    # symmetry detection is timed in its own record entry (wall clock only)
+    by_name = {r.name: r for r in records}
+    assert by_name["icosahedral"].timing["detect_seconds"] > 0
+    assert "detect_seconds" not in by_name["clean"].timing
+
     # the written artifact round-trips through the schema check
     loaded = load_bench(BENCH_PATH)
     assert [r["name"] for r in loaded["scenarios"]] == [r.name for r in records]

@@ -6,10 +6,12 @@ import pytest
 from repro.align import DistanceComputer
 from repro.density import asymmetric_phantom, cyclic_phantom, icosahedral_capsid_phantom
 from repro.density import sindbis_like_phantom
-from repro.geometry import random_orientations
-from repro.geometry.rotations import axis_angle_to_matrix
+from repro.geometry import icosahedral_group, random_orientations
+from repro.geometry.rotations import axis_angle_to_matrix, rotation_between
 from repro.refine import detect_symmetry, score_rotation
+from repro.refine import symmetry_detect
 from repro.refine.symmetry_detect import (
+    RealScorePlan,
     make_rotation_scorer,
     remove_radial_average,
     score_rotation_real,
@@ -34,6 +36,52 @@ def test_real_score_low_for_true_symmetry():
     g = axis_angle_to_matrix([0, 0, 1], 90.0)
     rnd = axis_angle_to_matrix([1, 2, 3], 77.0)
     assert score_rotation_real(data, g) < 0.3 * score_rotation_real(data, rnd)
+
+
+def test_prebuilt_plan_scores_bit_identically():
+    data = remove_radial_average(sindbis_like_phantom(24).normalized().data)
+    plan = RealScorePlan.from_data(data)
+    for o in random_orientations(4, seed=3):
+        g = o.matrix()
+        assert score_rotation_real(data, g, plan) == score_rotation_real(data, g)
+
+
+@pytest.fixture(scope="module")
+def counted_sindbis_detection():
+    """Detection on the 24³ Sindbis-like map at the engine's default
+    detect settings, with every scorer evaluation counted."""
+    calls = []
+    real = symmetry_detect.score_rotation_real
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    m = sindbis_like_phantom(24).normalized()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry_detect, "score_rotation_real", counting)
+        result = detect_symmetry(m, max_order=6, n_axes=48, accept_factor=0.2, seed=0)
+    return result, len(calls)
+
+
+def test_detection_score_budget(counted_sindbis_detection):
+    _, n_scores = counted_sindbis_detection
+    assert n_scores <= 1000
+
+
+def test_detected_icosahedral_frame_matches_canonical(counted_sindbis_detection):
+    """The map is rendered in the canonical frame, so each detected element
+    sits next to its own canonical element (the fit may list them in a
+    different order)."""
+    result, _ = counted_sindbis_detection
+    assert result.group_name == "I"
+    canon = icosahedral_group().matrices
+    nearest = []
+    for got in result.group.matrices:
+        gaps = [rotation_between(got, want) for want in canon]
+        assert min(gaps) < 0.5
+        nearest.append(int(np.argmin(gaps)))
+    assert sorted(nearest) == list(range(len(canon)))
 
 
 def test_remove_radial_average_kills_spherical_part():
@@ -133,6 +181,7 @@ def test_detect_backend_fanout_matches_serial():
         assert result.null_mean == serial.null_mean
         assert result.null_std == serial.null_std
         assert result.threshold == serial.threshold
+        assert np.array_equal(result.group.matrices, serial.group.matrices)
         assert len(result.axes) == len(serial.axes)
         for (ax_a, order_a, score_a), (ax_b, order_b, score_b) in zip(
             result.axes, serial.axes
