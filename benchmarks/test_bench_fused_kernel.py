@@ -1,10 +1,9 @@
 """Kernel and view-scheduler speedups, recorded into BENCH_kernels.json.
 
 The acceptance claims: on the full multi-resolution schedule at l = 64 the
-fused in-band kernel beats the reference slice-then-distance path by at
-least 3×, the batched whole-window engine (with its orientation memo)
-beats the fused kernel by at least 1.5× with a nonzero memo hit-rate —
-both while returning bit-identical results — and the pruned search +
+batched whole-window engine (with its orientation memo) beats the
+reference slice-then-distance oracle by at least 4.5× with a nonzero memo
+hit-rate while returning bit-identical results, and the pruned search +
 continuous polish evaluates at least 5× fewer full candidates than the
 batched engine while running at least 2× faster, never regressing any
 view's objective.  The asymmetric-unit restriction on an icosahedral
@@ -24,8 +23,7 @@ import os
 from run_bench import (
     BENCH_FILE,
     engine_fingerprint,
-    measure_batched_vs_fused,
-    measure_fused_vs_reference,
+    measure_batched_vs_reference,
     measure_pruned_vs_batched,
     measure_symmetric_vs_full,
     measure_symmetry_detect,
@@ -33,17 +31,15 @@ from run_bench import (
 )
 
 
-def test_fused_kernel_speedup(save_artifact):
-    stats = measure_fused_vs_reference(size=64, n_views=2)
-    batched = measure_batched_vs_fused(size=64, n_views=2)
+def test_batched_kernel_speedup(save_artifact):
+    batched = measure_batched_vs_reference(size=64, n_views=2)
     pruned = measure_pruned_vs_batched(size=64, n_views=2)
     symmetric = measure_symmetric_vs_full(size=64)
     detect = measure_symmetry_detect(size=24)
     workers = measure_worker_scaling(size=32, n_views=8, worker_counts=(1, 2))
     data = {
         "engine_fingerprint": engine_fingerprint(),
-        "fused_vs_reference": stats,
-        "batched_vs_fused": batched,
+        "batched_vs_reference": batched,
         "pruned_vs_batched": pruned,
         "symmetric_vs_full": symmetric,
         "symmetry_detect": detect,
@@ -51,10 +47,8 @@ def test_fused_kernel_speedup(save_artifact):
     }
     BENCH_FILE.write_text(json.dumps(data, indent=2) + "\n")
     save_artifact("BENCH_kernels.json", json.dumps(data, indent=2))
-    assert stats["identical_results"]
-    assert stats["speedup"] >= 3.0, f"fused speedup {stats['speedup']}x < 3x"
     assert batched["identical_results"]
-    assert batched["speedup"] >= 1.5, f"batched speedup {batched['speedup']}x < 1.5x"
+    assert batched["speedup"] >= 4.5, f"batched speedup {batched['speedup']}x < 4.5x"
     assert batched["memo_hit_rate"] > 0.0, "memo never hit on a re-centering run"
     assert pruned["pruned_identity"]["identical_results"]
     assert pruned["pruned_identity"]["candidates_pruned"] > 0

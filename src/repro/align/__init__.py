@@ -16,7 +16,7 @@ from repro.align.distance import (
 )
 from repro.align.fused import MatchPlan, get_match_plan
 from repro.align.grid import OrientationGrid, orientation_window, step_offsets
-from repro.align.matcher import MatchResult, match_view, match_view_band, match_view_window
+from repro.align.matcher import MatchResult, match_view, match_view_window
 from repro.align.memo import MemoStore, OrientationMemo, memo_key
 from repro.align.common_lines import (
     common_line_angles,
@@ -53,7 +53,6 @@ __all__ = [
     "step_offsets",
     "MatchResult",
     "match_view",
-    "match_view_band",
     "match_view_window",
     "MemoStore",
     "OrientationMemo",

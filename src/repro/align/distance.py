@@ -237,8 +237,8 @@ class DistanceComputer:
         """The §3 distance from pre-gathered in-band vectors — no (w, l, l) stacks.
 
         Both arguments are flat band vectors (``(n_samples,)``) or stacks of
-        them (``(m, n_samples)``), as produced by :meth:`gather` or by the
-        fused kernel's in-band slice gather; broadcasting follows numpy
+        them (``(m, n_samples)``), as produced by :meth:`gather` or by
+        :meth:`repro.align.fused.MatchPlan.cut_bands`; broadcasting follows numpy
         rules, so one view against ``w`` cuts or ``n`` shifted views against
         one cut both work.  ``cut_modulation`` (a band vector or a full
         ``(l, l)`` array) multiplies the cut(s) before differencing.
@@ -264,7 +264,7 @@ class DistanceComputer:
             sq = sq * self._w
         # A contiguous reduction keeps the pairwise-summation order identical
         # whether the band vectors came from a full-stack gather (reference
-        # kernel, non-contiguous fancy-indexed rows) or the fused kernel.
+        # kernel, non-contiguous fancy-indexed rows) or the batched kernel.
         d = np.sqrt(np.ascontiguousarray(sq).sum(axis=-1)) / (self.size * self.size)
         return float(d) if np.ndim(d) == 0 else d
 

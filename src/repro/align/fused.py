@@ -1,4 +1,4 @@
-"""Fused in-band slice/distance kernel (steps f–h without the cut stacks).
+"""The in-band matching kernel (steps f–h without the cut stacks).
 
 The reference matching path materializes a full ``(w, l, l)`` stack of
 central cuts (:func:`repro.fourier.slicing.extract_slices`) and only then
@@ -7,24 +7,25 @@ masks it down to the band ``r ≤ r_map``
 sample outside the band is gathered from D̂, copied, and thrown away, and
 the coordinate meshgrids are rebuilt for every window of every slide.
 
-:class:`MatchPlan` fuses the two stages.  Once per ``(l, r_map, weights,
+:class:`MatchPlan` skips both.  Once per ``(l, r_map, weights,
 volume_size, interpolation)`` it precomputes the in-band 2D frequency
 coordinates ``(kx, ky)`` and the band weight vector; per window it rotates
 *only those coordinates* into the volume frame and gathers trilinear
 samples of D̂ at them, so the per-candidate cost drops from ``l²`` to
 ``≈ π·r_map²`` samples — a ``(l/2)²/r_map²`` FLOP and memory-traffic saving
-at coarse levels where ``r_map ≪ l/2``.  Because the band radius bounds
-every rotated coordinate, the interior/edge decision is made **once at
-plan time**: in the common oversampled case the 8-corner trilinear gather
-runs with no per-corner bounds checks at all.
+at coarse levels where ``r_map ≪ l/2``.  Because a sample's band radius
+bounds every rotated position of it, the band is split **once at plan
+time** into samples that are interior for every rotation (gathered with no
+per-corner bounds checks) and the thin outer rim that may leave the cube.
 
 The kernel is numerically *identical* to the reference path (same
 coordinate arithmetic, same corner accumulation order, same reduction
 shapes), so ``kernel="reference"`` remains available purely as a checkable
 slow path.  The plan also carries the in-band phase-ramp machinery used by
-the fused center search (steps k–l), where a candidate center shift
-becomes an ``n_band``-element ramp instead of an ``l×l`` one.
+the center search (steps k–l), where a candidate center shift becomes an
+``n_band``-element ramp instead of an ``l×l`` one.
 """
+
 
 from __future__ import annotations
 
@@ -33,47 +34,26 @@ import numpy as np
 from repro.align.distance import DistanceComputer
 from repro.analysis.contracts import array_contract, spec
 from repro.arraytypes import Array
-from repro.engine.env import GATHER_CHUNK_ENV, gather_chunk_samples
-from repro.fourier.slicing import _gather_nearest, _gather_trilinear, _gather_trilinear_interior
+from repro.engine.env import gather_chunk_samples
+from repro.fourier.slicing import _gather_nearest, _gather_trilinear
 from repro.fourier.transforms import fourier_center, frequency_grid_2d
 
 __all__ = ["MatchPlan", "get_match_plan"]
 
 #: Safety margin (in voxels) for the plan-time interior test.  Rotated
-#: coordinates are bounded by ``r_band·scale`` analytically; floating-point
+#: coordinates are bounded by ``r·scale`` analytically; floating-point
 #: rounding can exceed that bound by a few ulp, far below this margin.
 _INTERIOR_MARGIN = 1e-9
 
 #: Target band samples per gather chunk.  Large windows are processed in
-#: rotation chunks of roughly this many samples so the coordinate and
-#: per-corner temporaries stay cache-resident instead of streaming
-#: tens-of-MB arrays through memory eight times per window.  Gathers and
-#: distances are per-point/per-row, so chunking cannot change any value.
-_CHUNK_SAMPLES = 1 << 18
-
-#: Chunk target for the batched window path.  The split-band gather keeps
-#: more live temporaries per sample than the fused path (three coordinate
-#: columns, four weight pairs), so its sweet spot sits lower: measured
-#: fastest at 2^16 samples/chunk at l=64, with a sharp cliff above ~2^17.
-_BATCHED_CHUNK_SAMPLES = 1 << 16
-
-#: Environment variable overriding both chunk targets (samples per chunk).
-#: Kept as a module attribute for existing importers; the read itself is
-#: centralized in :mod:`repro.engine.env` (repro-lint RL011).
-REPRO_GATHER_CHUNK = GATHER_CHUNK_ENV
-
-
-def _gather_chunk_target(default: int) -> int:
-    """The samples-per-chunk target, honoring ``REPRO_GATHER_CHUNK``.
-
-    The override must be a positive integer; anything else raises
-    immediately (a silently ignored typo would quietly change the run's
-    memory footprint).  Chunking never changes results — gathers are
-    per-point and distances per-row — so this is a pure tuning knob.
-    Delegates to :func:`repro.engine.env.gather_chunk_samples`, the one
-    place the environment is read.
-    """
-    return gather_chunk_samples(default)
+#: rotation chunks of roughly this many samples so the coordinate columns
+#: and per-corner weight temporaries stay cache-resident instead of
+#: streaming tens-of-MB arrays through memory eight times per window:
+#: measured fastest at 2^16 samples/chunk at l=64, with a sharp cliff above
+#: ~2^17.  ``REPRO_GATHER_CHUNK`` overrides it (read in
+#: :mod:`repro.engine.env`, repro-lint RL011).  Gathers and distances are
+#: per-point/per-row, so chunking cannot change any value.
+_CHUNK_SAMPLES = 1 << 16
 
 
 def _gather_interior_stack(flat: Array, l: int, cz: Array, cy: Array, cx: Array) -> Array:
@@ -93,8 +73,8 @@ def _gather_interior_stack(flat: Array, l: int, cz: Array, cy: Array, cx: Array)
       accumulator is identical.
 
     Columns (not an interleaved ``(..., 3)`` array) keep every fractional
-    and weight array contiguous, which is where the batched path's
-    throughput over the fused gather comes from.
+    and weight array contiguous, which is where the gather's throughput
+    over the interleaved reference gather comes from.
     """
     iz = cz.astype(np.int32, copy=False)
     iy = cy.astype(np.int32, copy=False)
@@ -115,13 +95,13 @@ def _gather_interior_stack(flat: Array, l: int, cz: Array, cy: Array, cx: Array)
 
 
 class MatchPlan:
-    """Precomputed in-band geometry for fused slice+distance evaluation.
+    """Precomputed in-band geometry for slice+distance evaluation.
 
     Parameters
     ----------
     distance_computer:
         The band mask, weights and normalization all come from here; the
-        fused distances are bit-identical to ``distance_computer`` applied
+        plan's distances are bit-identical to ``distance_computer`` applied
         to reference cuts.
     volume_size:
         Side of the (possibly oversampled) 3D DFT the cuts are taken from.
@@ -152,37 +132,21 @@ class MatchPlan:
         self._scale = self.volume_size / self.size
         self._cv = fourier_center(self.volume_size)
         self.n_samples = distance_computer.n_samples
-        if idx.size:
-            r_band = float(
-                np.sqrt(
-                    self._kxb.astype(float, copy=False) ** 2
-                    + self._kyb.astype(float, copy=False) ** 2
-                ).max()
+        # Per-sample band partition.  A sample at band radius ``r_i`` can be
+        # rotated anywhere on the sphere of radius ``r_i·scale`` but never
+        # beyond it, so samples whose sphere clears the cube boundary are
+        # *interior for every rotation* — the no-check stacked gather
+        # handles them; only the thin outer rim of the band (empty in the
+        # common oversampled, band-limited case) pays bounds checks.
+        reach = (
+            np.sqrt(
+                self._kxb.astype(float, copy=False) ** 2
+                + self._kyb.astype(float, copy=False) ** 2
             )
-        else:
-            r_band = 0.0
-        #: Largest in-band frequency radius (image units); rotation cannot
-        #: push any sampled coordinate farther than ``r_band·scale`` from
-        #: the volume center, so interior-ness is known before any gather.
-        self.band_radius = r_band
-        reach = r_band * self._scale
-        self._interior = bool(
-            self._cv - reach >= _INTERIOR_MARGIN
-            and self._cv + reach <= self.volume_size - 1 - _INTERIOR_MARGIN
+            * self._scale
         )
-        # Per-sample band partition for the batched window path.  A sample
-        # at band radius ``r_i`` can be rotated anywhere on the sphere of
-        # radius ``r_i·scale`` but never beyond it, so samples whose sphere
-        # clears the cube boundary are *interior for every rotation* — the
-        # no-check stacked gather handles them; only the thin outer rim of
-        # the band (empty when the plan is all-interior) pays bounds checks.
-        r_per_sample = np.sqrt(
-            self._kxb.astype(float, copy=False) ** 2
-            + self._kyb.astype(float, copy=False) ** 2
-        )
-        reach_per_sample = r_per_sample * self._scale
-        interior_mask = (self._cv - reach_per_sample >= _INTERIOR_MARGIN) & (
-            self._cv + reach_per_sample <= self.volume_size - 1 - _INTERIOR_MARGIN
+        interior_mask = (self._cv - reach >= _INTERIOR_MARGIN) & (
+            self._cv + reach <= self.volume_size - 1 - _INTERIOR_MARGIN
         )
         self._int_pos = np.flatnonzero(interior_mask)
         self._edge_pos = np.flatnonzero(~interior_mask)
@@ -197,7 +161,7 @@ class MatchPlan:
     @property
     def all_interior(self) -> bool:
         """True when every possible sample has a full in-bounds 8-corner cell."""
-        return self._interior
+        return self.n_edge_samples == 0
 
     @property
     def n_interior_samples(self) -> int:
@@ -214,44 +178,65 @@ class MatchPlan:
         """The view's in-band samples as a flat vector (alias of ``dc.gather``)."""
         return self.dc.gather(view_ft)
 
-    def _band_coords(self, rotations: Array) -> tuple[Array, bool]:
+    def _volume(self, volume_ft: Array) -> Array:
+        vol = np.asarray(volume_ft)
+        if vol.shape != (self.volume_size,) * 3:
+            raise ValueError(
+                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
+            )
+        return vol
+
+    @staticmethod
+    def _rotation_stack(rotations: Array) -> Array:
         rots = np.asarray(rotations, dtype=float)
-        single = rots.ndim == 2
-        if single:
+        if rots.ndim == 2:
             rots = rots[None]
         if rots.ndim != 3 or rots.shape[1:] != (3, 3):
             raise ValueError(f"rotations must be (w, 3, 3) or (3, 3), got {rots.shape}")
+        return rots
+
+    def _rotation_chunk(self) -> int:
+        """Rotations per gather chunk (cache sizing, not a result knob)."""
+        return max(1, gather_chunk_samples(_CHUNK_SAMPLES) // max(1, self.n_samples))
+
+    def _coords(self, u: Array, v: Array, kx: Array, ky: Array) -> Array:
+        """``(w, n, 3)`` array (z, y, x) coordinates of band samples ``(kx, ky)``."""
+        coords_xyz = (kx[None, :, None] * u[:, None, :] + ky[None, :, None] * v[:, None, :]) * self._scale
+        return coords_xyz[..., ::-1] + self._cv
+
+    def _interior_rows(self, flat: Array, u: Array, v: Array, kx: Array, ky: Array) -> Array:
+        """No-check gather of always-interior samples ``(kx, ky)``.
+
+        Coordinate *columns* in array (z, y, x) order: component ``c`` of
+        :meth:`_coords` — the same elementwise operations in the same order
+        per point, just never interleaved into a strided ``(w, n, 3)`` array.
+        """
+        cz = (kx[None, :] * u[:, 2, None] + ky[None, :] * v[:, 2, None]) * self._scale + self._cv
+        cy = (kx[None, :] * u[:, 1, None] + ky[None, :] * v[:, 1, None]) * self._scale + self._cv
+        cx = (kx[None, :] * u[:, 0, None] + ky[None, :] * v[:, 0, None]) * self._scale + self._cv
+        return _gather_interior_stack(flat, self.volume_size, cz, cy, cx)
+
+    def _gather_rows(self, vol: Array, flat: Array, rots: Array) -> Array:
+        """``(w, n_band)`` cut samples for one rotation chunk.
+
+        Trilinear sampling goes through the plan-time band partition (see
+        ``__init__``): the interior samples through the no-check stacked
+        gather, the rim through the bounds-checked one.  Every per-point
+        value equals the reference gather's, so scattering the two subsets
+        back into band order reproduces the reference cut samples exactly.
+        """
         u = rots[:, :, 0]  # (w, 3)
         v = rots[:, :, 1]
-        coords_xyz = (
-            self._kxb[None, :, None] * u[:, None, :] + self._kyb[None, :, None] * v[:, None, :]
-        ) * self._scale
-        coords_zyx = coords_xyz[..., ::-1] + self._cv
-        return coords_zyx, single
-
-    def _rotation_chunk(self, target_samples: int = _CHUNK_SAMPLES) -> int:
-        """Rotations per gather chunk (cache sizing, not a result knob).
-
-        ``REPRO_GATHER_CHUNK`` (validated positive-integer env var)
-        overrides ``target_samples``, tuning the memory/speed tradeoff of
-        both the fused and batched gathers without code edits.
-        """
-        return max(1, _gather_chunk_target(target_samples) // max(1, self.n_samples))
-
-    def _gather_chunk(self, vol: Array, rotations: Array) -> Array:
-        coords, single = self._band_coords(rotations)
         if self.interpolation == "nearest":
-            out = _gather_nearest(vol, coords)
-        elif self._interior:
-            pts = coords.reshape(-1, 3)
-            base = np.floor(pts).astype(np.int64, copy=False)
-            frac = pts - base
-            out = _gather_trilinear_interior(vol.ravel(), vol.shape[0], base, frac).reshape(
-                coords.shape[:-1]
+            return _gather_nearest(vol, self._coords(u, v, self._kxb, self._kyb))
+        out = np.empty((rots.shape[0], self.n_samples), dtype=vol.dtype)
+        if self._int_pos.size:
+            out[:, self._int_pos] = self._interior_rows(flat, u, v, self._kx_int, self._ky_int)
+        if self._edge_pos.size:
+            out[:, self._edge_pos] = _gather_trilinear(
+                vol, self._coords(u, v, self._kx_edge, self._ky_edge)
             )
-        else:
-            out = _gather_trilinear(vol, coords)
-        return out[0] if single else out
+        return out
 
     @array_contract(
         volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
@@ -263,132 +248,24 @@ class MatchPlan:
         ``rotations`` is one ``(3, 3)`` matrix or a ``(w, 3, 3)`` stack; the
         result is ``(n_band,)`` or ``(w, n_band)`` complex samples.
         """
-        vol = np.asarray(volume_ft)
-        if vol.shape != (self.volume_size,) * 3:
-            raise ValueError(
-                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
-            )
-        rots = np.asarray(rotations, dtype=float)
-        step = self._rotation_chunk()
-        if rots.ndim == 2 or rots.shape[0] <= step:
-            return self._gather_chunk(vol, rots)
-        out = np.empty((rots.shape[0], self.n_samples), dtype=vol.dtype)
-        for lo in range(0, rots.shape[0], step):
-            out[lo : lo + step] = self._gather_chunk(vol, rots[lo : lo + step])
-        return out
-
-    def cut_band(self, volume_ft: Array, rotation: Array) -> Array:
-        """In-band samples of one cut (the fused analog of ``extract_slice``)."""
-        return self.cut_bands(volume_ft, rotation)
-
-    # -- fused matching ----------------------------------------------------
-    @array_contract(
-        volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
-        view_band=spec(shape=("n",), dtype="inexact", allow_none=False),
-        rotations=spec(shape=[(3, 3), (None, 3, 3)], allow_none=False),
-    )
-    def distances(
-        self,
-        volume_ft: Array,
-        view_band: Array,
-        rotations: Array,
-        cut_modulation: Array | None = None,
-    ) -> Array:
-        """§3 distances from one view to all ``w`` candidates, fused.
-
-        ``view_band`` comes from :meth:`gather_view`; ``cut_modulation`` is
-        a band vector (or full ``(l, l)`` array) imposed on every cut.
-
-        Each rotation chunk is gathered *and* reduced while still hot in
-        cache; distances are per-row, so chunking is invisible in the
-        output.
-        """
-        rots = np.asarray(rotations, dtype=float)
-        if rots.ndim == 2:
-            rots = rots[None]
-        vol = np.asarray(volume_ft)
-        step = self._rotation_chunk()
-        if rots.shape[0] <= step:
-            cuts = self.cut_bands(vol, rots)
-            return np.asarray(
-                self.dc.distance_band(view_band, cuts, cut_modulation=cut_modulation)
-            )
-        out = np.empty(rots.shape[0])
-        for lo in range(0, rots.shape[0], step):
-            cuts = self.cut_bands(vol, rots[lo : lo + step])
-            out[lo : lo + step] = self.dc.distance_band(
-                view_band, cuts, cut_modulation=cut_modulation
-            )
-        return out
-
-    # -- batched window engine ---------------------------------------------
-    def _gather_batched_chunk(self, vol: Array, flat: Array, rots: Array) -> Array:
-        """One rotation chunk through the split-band stacked gather.
-
-        The band is partitioned *at plan time* into always-interior and
-        possibly-edge samples (see ``__init__``); each subset's rotated
-        coordinates are built with the exact elementwise arithmetic of
-        :meth:`_band_coords` restricted to the subset, so every per-point
-        value — and hence the scattered result — is bit-identical to the
-        fused path.
-        """
-        u = rots[:, :, 0]  # (w, 3)
-        v = rots[:, :, 1]
-        out = np.empty((rots.shape[0], self.n_samples), dtype=vol.dtype)
-        if self._int_pos.size:
-            # Coordinate *columns* in array (z, y, x) order: component c of
-            # the fused path's ``(kx·u + ky·v)·scale`` then ``+ cv`` — the
-            # same elementwise operations in the same order per point, just
-            # never interleaved into a strided (w, n, 3) array.
-            kxi, kyi = self._kx_int, self._ky_int
-            cz = (kxi[None, :] * u[:, 2, None] + kyi[None, :] * v[:, 2, None]) * self._scale + self._cv
-            cy = (kxi[None, :] * u[:, 1, None] + kyi[None, :] * v[:, 1, None]) * self._scale + self._cv
-            cx = (kxi[None, :] * u[:, 0, None] + kyi[None, :] * v[:, 0, None]) * self._scale + self._cv
-            out[:, self._int_pos] = _gather_interior_stack(flat, vol.shape[0], cz, cy, cx)
-        if self._edge_pos.size:
-            coords_xyz = (
-                self._kx_edge[None, :, None] * u[:, None, :]
-                + self._ky_edge[None, :, None] * v[:, None, :]
-            ) * self._scale
-            coords_zyx = coords_xyz[..., ::-1] + self._cv
-            out[:, self._edge_pos] = _gather_trilinear(vol, coords_zyx)
-        return out
-
-    @array_contract(
-        volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
-        rotations=spec(shape=[(3, 3), (None, 3, 3)], allow_none=False),
-    )
-    def cut_bands_batched(self, volume_ft: Array, rotations: Array) -> Array:
-        """Batched-path analog of :meth:`cut_bands` (bit-identical output).
-
-        Same shapes in and out; the difference is purely mechanical — the
-        plan-time band partition lets the bulk of each chunk skip bounds
-        checks entirely instead of re-deciding interior-ness per gather.
-        """
-        vol = np.asarray(volume_ft)
-        if vol.shape != (self.volume_size,) * 3:
-            raise ValueError(
-                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
-            )
-        rots = np.asarray(rotations, dtype=float)
-        single = rots.ndim == 2
-        if single:
-            rots = rots[None]
-        if self.interpolation == "nearest":
-            out = self.cut_bands(vol, rots)
-            return out[0] if single else out
+        vol = self._volume(volume_ft)
         flat = vol.ravel()
-        step = self._rotation_chunk(_BATCHED_CHUNK_SAMPLES)
+        single = np.ndim(rotations) == 2
+        rots = self._rotation_stack(rotations)
+        step = self._rotation_chunk()
         if rots.shape[0] <= step:
-            out = self._gather_batched_chunk(vol, flat, rots)
+            out = self._gather_rows(vol, flat, rots)
         else:
             out = np.empty((rots.shape[0], self.n_samples), dtype=vol.dtype)
             for lo in range(0, rots.shape[0], step):
-                out[lo : lo + step] = self._gather_batched_chunk(
-                    vol, flat, rots[lo : lo + step]
-                )
+                out[lo : lo + step] = self._gather_rows(vol, flat, rots[lo : lo + step])
         return out[0] if single else out
 
+    def cut_band(self, volume_ft: Array, rotation: Array) -> Array:
+        """In-band samples of one cut (the band analog of ``extract_slice``)."""
+        return self.cut_bands(volume_ft, rotation)
+
+    # -- window matching ---------------------------------------------------
     @array_contract(
         volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
         view_band=spec(shape=("n",), dtype="inexact", allow_none=False),
@@ -401,31 +278,26 @@ class MatchPlan:
         rotations: Array,
         cut_modulation: Array | None = None,
     ) -> Array:
-        """§3 distances for a whole candidate window in one batched call.
+        """§3 distances from one view to a whole candidate window.
 
-        The batched engine entry point: all ``w`` candidate rotations go
-        through one chunked stacked trilinear gather (split-band, see
-        :meth:`cut_bands_batched`) and the band-vector distance reduction,
-        with no per-candidate Python work.  Distances are per-row and the
-        reduction is the same :meth:`DistanceComputer.distance_band` the
-        fused and reference paths use, so the output is bit-identical to
-        evaluating each candidate alone.
+        ``view_band`` comes from :meth:`gather_view`; ``cut_modulation`` is
+        a band vector (or full ``(l, l)`` array) imposed on every cut.  All
+        ``w`` candidate rotations go through the chunked band gather of
+        :meth:`cut_bands` and the band-vector distance reduction, with no
+        per-candidate Python work; each chunk is gathered *and* reduced
+        while still hot in cache.  Distances are per-row and the reduction
+        is the same :meth:`DistanceComputer.distance_band` the reference
+        path uses, so the output is bit-identical to evaluating each
+        candidate alone.  A single ``(3, 3)`` rotation gives a ``(1,)``
+        result.
         """
-        rots = np.asarray(rotations, dtype=float)
-        if rots.ndim == 2:
-            rots = rots[None]
-        vol = np.asarray(volume_ft)
-        if vol.shape != (self.volume_size,) * 3:
-            raise ValueError(
-                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
-            )
-        if self.interpolation == "nearest":
-            return self.distances(vol, view_band, rots, cut_modulation=cut_modulation)
+        vol = self._volume(volume_ft)
         flat = vol.ravel()
-        step = self._rotation_chunk(_BATCHED_CHUNK_SAMPLES)
+        rots = self._rotation_stack(rotations)
+        step = self._rotation_chunk()
         out = np.empty(rots.shape[0])
         for lo in range(0, rots.shape[0], step):
-            cuts = self._gather_batched_chunk(vol, flat, rots[lo : lo + step])
+            cuts = self._gather_rows(vol, flat, rots[lo : lo + step])
             out[lo : lo + step] = self.dc.distance_band(
                 view_band, cuts, cut_modulation=cut_modulation
             )
@@ -493,7 +365,7 @@ class MatchPlan:
         candidate's full squared distance — is compared against
         ``(bound·l²)²`` and candidates strictly above it are abandoned.
         Per-point coordinate arithmetic and gathers are the exact subset
-        restriction of :meth:`_gather_batched_chunk`, and every
+        restriction of :meth:`_gather_rows`, and every
         *survivor's* distance is recomputed by the canonical
         :meth:`DistanceComputer.distance_band` reduction over its
         reassembled full band row (never from the group accumulator, whose
@@ -507,18 +379,10 @@ class MatchPlan:
         """
         if self.dc.normalized:
             raise ValueError("pruned matching requires the plain (unnormalized) distance")
-        rots = np.asarray(rotations, dtype=float)
-        if rots.ndim == 2:
-            rots = rots[None]
-        vol = np.asarray(volume_ft)
+        rots = self._rotation_stack(rotations)
         if not np.isfinite(bound) or self.interpolation == "nearest":
-            return np.asarray(
-                self.match_window(vol, view_band, rots, cut_modulation=cut_modulation)
-            ), 0
-        if vol.shape != (self.volume_size,) * 3:
-            raise ValueError(
-                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
-            )
+            return self.match_window(volume_ft, view_band, rots, cut_modulation=cut_modulation), 0
+        vol = self._volume(volume_ft)
         view = np.asarray(view_band)
         mod_band = None
         if cut_modulation is not None:
@@ -537,15 +401,9 @@ class MatchPlan:
             ua = u[alive]
             va = v[alive]
             if gi.size:
-                cz = (kxi[None, :] * ua[:, 2, None] + kyi[None, :] * va[:, 2, None]) * self._scale + self._cv
-                cy = (kxi[None, :] * ua[:, 1, None] + kyi[None, :] * va[:, 1, None]) * self._scale + self._cv
-                cx = (kxi[None, :] * ua[:, 0, None] + kyi[None, :] * va[:, 0, None]) * self._scale + self._cv
-                rows[np.ix_(alive, gi)] = _gather_interior_stack(flat, vol.shape[0], cz, cy, cx)
+                rows[np.ix_(alive, gi)] = self._interior_rows(flat, ua, va, kxi, kyi)
             if ge.size:
-                coords_xyz = (
-                    kxe[None, :, None] * ua[:, None, :] + kye[None, :, None] * va[:, None, :]
-                ) * self._scale
-                rows[np.ix_(alive, ge)] = _gather_trilinear(vol, coords_xyz[..., ::-1] + self._cv)
+                rows[np.ix_(alive, ge)] = _gather_trilinear(vol, self._coords(ua, va, kxe, kye))
             cuts = rows[np.ix_(alive, pos)]
             if mod_band is not None:
                 cuts = cuts * mod_band[pos]
@@ -564,7 +422,7 @@ class MatchPlan:
             )
         return out, int(w - alive.size)
 
-    # -- fused center machinery (steps k–l) --------------------------------
+    # -- center machinery (steps k–l) --------------------------------------
     def shift_ramps(self, dxs: Array, dys: Array) -> Array:
         """In-band phase ramps for a batch of candidate center corrections.
 

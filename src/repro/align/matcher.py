@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an align->refine cyc
     from repro.refine.prune import PruneSearch
     from repro.refine.restrict import SymmetryRestriction
 
-__all__ = ["MatchResult", "match_view", "match_view_band", "match_view_window"]
+__all__ = ["MatchResult", "match_view", "match_view_window"]
 
 
 @dataclass(frozen=True)
@@ -96,33 +96,6 @@ def match_view(
     # the view's size either way.
     cuts = extract_slices(volume_ft, rotations, order=interpolation, out_size=size)
     distances = dc.distance_batch(view_ft, cuts, cut_modulation=cut_modulation)
-    flat = int(np.argmin(distances))
-    return MatchResult(
-        orientation=grid.orientation_at(flat),
-        distance=float(distances[flat]),
-        flat_index=flat,
-        on_edge=grid.on_edge(flat),
-        distances=distances,
-        n_matches=grid.size,
-    )
-
-
-def match_view_band(
-    view_band: Array,
-    volume_ft: Array,
-    grid: OrientationGrid,
-    plan: MatchPlan,
-    cut_modulation: Array | None = None,
-) -> MatchResult:
-    """Steps f–h with the fused in-band kernel — no ``(w, l, l)`` cut stack.
-
-    ``view_band`` is the view's pre-gathered in-band vector
-    (:meth:`MatchPlan.gather_view`); the distances are numerically identical
-    to :func:`match_view` with the plan's distance computer.
-    """
-    distances = plan.distances(
-        volume_ft, view_band, grid.rotation_stack(), cut_modulation=cut_modulation
-    )
     flat = int(np.argmin(distances))
     return MatchResult(
         orientation=grid.orientation_at(flat),

@@ -1,6 +1,6 @@
 """Static analysis for the reproduction: repro-lint, typing gate, contracts.
 
-Three layers keep the fused/reference kernel pair and the deterministic
+Three layers keep the batched/reference kernel pair and the deterministic
 scheduler honest (see DESIGN.md, "Machine-checked invariants"):
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` — AST rules

@@ -1,6 +1,6 @@
 """Runtime array contracts for the kernel boundaries.
 
-The fused/reference kernel pair and the process-parallel scheduler only
+The batched/reference kernel pair and the process-parallel scheduler only
 stay bit-identical if every boundary keeps its shape/dtype conventions:
 band vectors stay ``(n,)`` or ``(m, n)`` with a shared ``n``, volume DFTs
 stay cubic, the shared-memory D̂ replica attaches C-contiguous.  The

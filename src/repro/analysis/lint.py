@@ -1,7 +1,7 @@
 """repro-lint: AST-based checks for this repo's correctness invariants.
 
 PR 1 split every hot path into two kernels that must stay bit-identical
-(fused vs reference) and a scheduler that must stay deterministic at any
+(batched vs reference) and a scheduler that must stay deterministic at any
 worker count.  Those invariants are conventions — a centered-FFT grid
 layout, seeded RNG plumbing, float32-free band math, one distance
 reduction — that ordinary linters cannot see.  Each rule in

@@ -29,7 +29,7 @@ class NoPerCandidateCutLoop(Rule):
     rationale = (
         "A `cut_band` call inside a Python loop scores candidates one at a "
         "time; window evaluation must go through the batched engine "
-        "(`MatchPlan.match_window` / `cut_bands_batched`), which gathers "
+        "(`MatchPlan.match_window` / `cut_bands`), which gathers "
         "the whole candidate stack in one vectorized call."
     )
     include = ("repro/align/", "repro/refine/")

@@ -1,7 +1,7 @@
 """RL001 — no nondeterminism in kernel/scheduler modules.
 
 The scheduler promises bit-identical results at any worker count and the
-fused/reference kernel pair promises bit-identical distances; both break
+batched/reference kernel pair promises bit-identical distances; both break
 silently if a kernel module consults the wall clock or an unseeded RNG.
 All randomness must flow through :func:`repro.utils.rng.default_rng` with
 an explicit seed (or a caller-provided generator), and wall-clock time is
@@ -40,7 +40,7 @@ class NoNondeterminism(Rule):
     rationale = (
         "Kernel and scheduler modules must be bit-reproducible: no wall-clock "
         "reads, no stdlib random, and no RNG construction without an explicit "
-        "seed — otherwise fused/reference equivalence and worker-count "
+        "seed — otherwise batched/reference equivalence and worker-count "
         "invariance cannot be tested."
     )
     include = (

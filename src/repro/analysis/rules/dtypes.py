@@ -3,7 +3,7 @@
 ``align/`` and ``fourier/`` process band vectors sized ``π·r_map²`` per
 candidate orientation; an ``astype`` that defaults to ``copy=True``
 duplicates every one of those gathers, and a stray ``np.float64(...)``
-scalar constructor hides an upcast the fused kernel never performs.  The
+scalar constructor hides an upcast the batched kernel never performs.  The
 rule forces every ``astype`` in the hot packages to say ``copy=False``
 (copy only when the dtype actually changes) and bans raw float64/complex128
 scalar constructors.
@@ -29,7 +29,7 @@ class NoSilentUpcast(Rule):
         "astype defaults to copy=True, duplicating every band gather in the "
         "hot loops; explicit copy=False makes each conversion copy only when "
         "the dtype really changes, and raw np.float64()/np.complex128() "
-        "constructors hide upcasts the fused/reference pair must agree on."
+        "constructors hide upcasts the batched/reference pair must agree on."
     )
     include = ("repro/align/", "repro/fourier/")
 

@@ -4,7 +4,7 @@ RL006: any function that accepts a ``kernel=`` parameter is a fork point
 between the kernel implementations.  Fork points may select and delegate,
 but they may not *compute*: every distance must bottom out in the single
 :meth:`DistanceComputer.distance_band` reduction (directly or through the
-matching API), the only kernel names are ``"fused"``, ``"batched"`` and
+matching API), the only kernel names are ``"batched"`` and
 ``"reference"``, and the choice must be validated or forwarded so a typo'd
 kernel name fails loudly instead of silently picking a default.
 
@@ -23,7 +23,7 @@ from repro.analysis.rules._base import Rule, attribute_chain, walk_functions
 
 __all__ = ["KernelBoundaryContract", "TwoKernelsOneTruth", "REQUIRED_CONTRACTS"]
 
-_KERNEL_NAMES = {"fused", "batched", "reference"}
+_KERNEL_NAMES = {"batched", "reference"}
 
 #: Calls that are known to bottom out in DistanceComputer.distance_band.
 _APPROVED_CALLS = {
@@ -32,7 +32,6 @@ _APPROVED_CALLS = {
     "distance_batch",
     "distance_many_to_one",
     "match_view",
-    "match_view_band",
     "match_view_window",
     "match_window",
     "refine_center",
@@ -42,7 +41,6 @@ _APPROVED_CALLS = {
     "run_level",
     "cut_band",
     "cut_bands",
-    "distances",
     "_box_search",
 }
 
@@ -54,8 +52,6 @@ REQUIRED_CONTRACTS: dict[str, frozenset[str]] = {
     "repro/align/fused.py": frozenset(
         {
             "MatchPlan.cut_bands",
-            "MatchPlan.distances",
-            "MatchPlan.cut_bands_batched",
             "MatchPlan.match_window",
             "MatchPlan.match_window_pruned",
         }
@@ -101,7 +97,7 @@ class TwoKernelsOneTruth(Rule):
     name = "two-kernels-one-truth"
     rationale = (
         "Functions taking kernel= are fork points between the kernels: they "
-        "must compare only against 'fused'/'batched'/'reference', validate or "
+        "must compare only against 'batched'/'reference', validate or "
         "forward the choice, delegate all distance math to the distance_band "
         "family, and never open-code sqrt/norm reductions that could diverge "
         "between the kernels."
@@ -185,7 +181,7 @@ class TwoKernelsOneTruth(Rule):
                 yield self.finding(mod,
                     node,
                     f"{qualname}: kernel compared against unknown name {lit!r} "
-                    "(only 'fused', 'batched' and 'reference' exist)",
+                    "(only 'batched' and 'reference' exist)",
                 )
 
 
@@ -193,10 +189,10 @@ class KernelBoundaryContract(Rule):
     rule_id = "RL007"
     name = "kernel-boundary-contract"
     rationale = (
-        "The kernel boundaries (band gathers, fused cut sampling, slice "
+        "The kernel boundaries (band gathers, in-band cut sampling, slice "
         "extraction, shared-memory attach) must declare @array_contract "
         "specs so CI's contracts-on test run checks every shape/dtype "
-        "convention the fused/reference equivalence depends on."
+        "convention the batched/reference equivalence depends on."
     )
     include = tuple(REQUIRED_CONTRACTS)
 

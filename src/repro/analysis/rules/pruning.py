@@ -7,8 +7,8 @@ the refinement drivers — a sliding-window re-scan, a per-seed fan-out, an
 inner center/angle alternation — multiplies whatever that call costs, so
 each such call must either thread a ``prune`` handle through to the
 bounded engine or carry an explicit waiver naming why it is exhaustive on
-purpose (the ``reference``/``fused`` oracle branches that pruned results
-are verified against are the canonical waivers).
+purpose (the ``reference`` oracle branch that pruned results are
+verified against is the canonical waiver).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ _WINDOW_EVALS = frozenset(
     {
         "sliding_window_search",
         "match_view",
-        "match_view_band",
         "match_view_window",
         "match_window",
     }

@@ -12,7 +12,7 @@ configured*.  Layer map (see DESIGN.md §10)::
     SerialBackend │ ProcessBackend │ SimBackend   (bit-identical)
             │  run_level / run_refinement
             ▼
-       matching kernels (batched / fused / reference)
+       matching kernel (batched; reference = test oracle)
 
 :mod:`repro.engine.env` must be imported before the sibling modules: it
 is stdlib-only and is imported *by* the kernel packages at their import

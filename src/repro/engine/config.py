@@ -62,7 +62,7 @@ __all__ = [
     "load_config",
 ]
 
-KERNELS = ("batched", "fused", "reference")
+KERNELS = ("batched", "reference")
 INTERPOLATIONS = ("trilinear", "nearest")
 BACKENDS = ("serial", "process", "sim")
 WEIGHTINGS = ("none", "radius", "radius2")
@@ -118,11 +118,12 @@ def _reject_unknown(section: str, data: Mapping[str, Any], known: tuple[str, ...
 class KernelConfig:
     """Which matching kernel runs and how it chunks its gathers.
 
-    All three kernels are bit-identical by construction; the choice is a
+    ``batched`` is the production kernel; ``reference`` is the test
+    oracle.  The two are bit-identical by construction, so the choice is a
     performance decision, never a numerical one.  ``gather_chunk``
-    overrides the samples-per-chunk target of the in-band gathers (the
-    config-file spelling of ``REPRO_GATHER_CHUNK``); ``None`` keeps each
-    kernel's measured default.
+    overrides the samples-per-chunk target of the in-band gather (the
+    config-file spelling of ``REPRO_GATHER_CHUNK``); ``None`` keeps the
+    measured default.
     """
 
     kernel: str = "batched"
@@ -511,7 +512,7 @@ class PolishConfig:
 
     When enabled, schedule levels with ``angular_step_deg <
     replace_below_deg`` are dropped and a damped Gauss–Newton descent on
-    the continuous fused-kernel objective takes over from the ``n_best``
+    the continuous in-band objective takes over from the ``n_best``
     surviving basin centers of the last kept level (DESIGN.md §11).  The
     polished result is gated by an accuracy tolerance — the replaced
     tail's final angular step — instead of the bit-identity oracle.
@@ -833,7 +834,7 @@ class EngineConfig:
                          "polish.n_best > 1 needs prune.enabled basin tracking "
                          "to supply multiple starts")
         # Symmetry restriction canonicalizes candidates inside the batched
-        # window engine's memo path; the fused/reference kernels and the
+        # window engine's memo path; the reference kernel and the
         # simulated-cluster backend never see the group.
         if self.symmetry.enabled:
             _require(self.kernel.kernel == "batched",

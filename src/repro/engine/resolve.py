@@ -96,7 +96,7 @@ def resolve_config(
     """Resolve the effective config from all four layers.
 
     ``base`` and ``flags`` are flat dotted-path mappings (``{"kernel.kernel":
-    "fused", "parallel.n_workers": 4}``); ``config_path`` is a ``.toml`` or
+    "reference", "parallel.n_workers": 4}``); ``config_path`` is a ``.toml`` or
     ``.json`` file; ``use_env=False`` ignores the process environment (for
     hermetic tests).  Unknown paths and invalid values raise
     :class:`~repro.engine.config.ConfigError`.

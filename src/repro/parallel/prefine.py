@@ -79,7 +79,7 @@ class ParallelRefinementReport:
     #: message-level faults observed on the simulated fabric (chaos runs)
     fault_events: list[FaultEvent] = field(default_factory=list)
     #: batched-engine counters merged over all ranks (``None`` for the
-    #: non-batched kernels); level wall times are real host seconds
+    #: reference kernel); level wall times are real host seconds
     perf: PerfCounters | None = None
 
     def refinement_fraction(self) -> float:
@@ -112,7 +112,7 @@ def parallel_refine(
     fabric faults change simulated *time* only — refined orientations stay
     bit-identical to the fault-free run.
 
-    ``kernel`` selects the matching implementation per rank (all are
+    ``kernel`` selects the matching implementation per rank (both are
     bit-identical); ``"batched"`` (default) additionally memoizes repeated
     candidates per view and fills :attr:`ParallelRefinementReport.perf`.
 

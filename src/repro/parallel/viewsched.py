@@ -14,7 +14,7 @@ scheduler:
   process pool, several chunks per worker so stragglers (views whose
   windows slide) rebalance;
 * caches the per-process :class:`DistanceComputer` (and therefore its
-  fused :class:`~repro.align.fused.MatchPlan`) across chunks and levels,
+  band :class:`~repro.align.fused.MatchPlan`) across chunks and levels,
   so plans are built once per worker, not once per task;
 * falls back to a plain serial loop when ``n_workers == 1`` — the same
   :func:`refine_level_serial` used by the serial refiner and the simulated
@@ -121,7 +121,7 @@ def refine_level_serial(
     level: RefinementLevel,
     *,
     distance_computer: DistanceComputer | None = None,
-    kernel: str = "fused",
+    kernel: str = "batched",
     interpolation: str = "trilinear",
     max_slides: int = 8,
     refine_centers: bool = True,
@@ -140,7 +140,7 @@ def refine_level_serial(
     simulated cluster and the process pool workers.
 
     ``memo_store`` / ``counters`` are the batched kernel's orientation memo
-    and perf counters (ignored by the other kernels).  Memos are keyed by
+    and perf counters (ignored by the reference kernel).  Memos are keyed by
     *global* view index; ``view_indices`` maps the local position ``q`` to
     that global index when this call covers a chunk of a larger view set
     (defaults to the identity mapping).
@@ -654,7 +654,7 @@ class ViewScheduler:
         level: RefinementLevel,
         *,
         distance_computer: DistanceComputer | None = None,
-        kernel: str = "fused",
+        kernel: str = "batched",
         interpolation: str = "trilinear",
         max_slides: int = 8,
         refine_centers: bool = True,

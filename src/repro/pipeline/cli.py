@@ -65,6 +65,8 @@ _DETERMINE_DEFAULTS: dict[str, object] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for all subcommands (exposed for doc/testing)."""
+    from repro.engine.config import KERNELS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Orientation refinement of virus structures with unknown symmetry (IPPS 2003 reproduction)",
@@ -95,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-slides", type=int, default=absent)
         p.add_argument("--no-centers", action="store_true", default=absent)
         p.add_argument(
-            "--kernel", choices=("batched", "fused", "reference"), default=absent,
-            help="matching kernel: batched whole-window with memo (default), fused "
-            "in-band per candidate, or the reference slow path (all bit-identical)",
+            "--kernel", choices=KERNELS, default=absent,
+            help="matching kernel: batched whole-window with memo (default) or the "
+            "reference slow path kept as the test oracle (bit-identical)",
         )
         p.add_argument(
             "--no-memo", action="store_true", default=absent,

@@ -9,7 +9,7 @@ whole-pixel ones.  The same edge-triggered sliding rule as the angular
 window applies.
 
 Two evaluation kernels share the sliding-box loop: the reference path
-builds full ``(n, l, l)`` shifted-transform stacks, the fused path
+builds full ``(n, l, l)`` shifted-transform stacks, the batched path
 (default) applies the phase ramps only at the in-band samples via a
 :class:`~repro.align.fused.MatchPlan`, cutting the per-candidate cost from
 ``l²`` to ``n_band`` with numerically identical distances.
@@ -111,7 +111,7 @@ def refine_center(
     max_slides: int = 8,
     distance_computer: DistanceComputer | None = None,
     cut_modulation: Array | None = None,
-    kernel: str = "fused",
+    kernel: str = "batched",
     plan: MatchPlan | None = None,
     view_band: Array | None = None,
     cut_band: Array | None = None,
@@ -123,7 +123,7 @@ def refine_center(
     view_ft:
         The *uncorrected* view transform (center offsets are applied here,
         not baked in, so successive levels can re-derive finer centers).
-        May be ``None`` when ``view_band`` (and a fused kernel) is supplied.
+        May be ``None`` when ``view_band`` (and the batched kernel) is supplied.
     cut_ft:
         The minimum-distance cut ``C_µ`` from the angular search.  May be
         ``None`` when ``cut_band`` is supplied.
@@ -135,18 +135,18 @@ def refine_center(
         Box half-width in steps (1 gives the paper's example 3×3 box,
         ``n_center = 9``).
     kernel:
-        ``"fused"`` (default) evaluates candidates on the in-band samples
-        only; ``"reference"`` builds full shifted-transform stacks.  Both
-        produce identical distances.
+        ``"batched"`` (default) evaluates the whole box on the in-band
+        samples as one band-vector stack; ``"reference"`` builds full
+        shifted-transform stacks.  Both produce identical distances.
     plan / view_band / cut_band:
-        Optional precomputed fused-kernel state (from the per-view driver);
+        Optional precomputed batched-kernel state (from the per-view driver);
         derived on the fly from the full arrays when omitted.
     """
     if step_px <= 0:
         raise ValueError("step_px must be positive")
     if half_steps < 0:
         raise ValueError("half_steps must be non-negative")
-    if kernel not in ("fused", "reference"):
+    if kernel not in ("batched", "reference"):
         raise ValueError(f"unknown kernel {kernel!r}")
     cx, cy = float(center[0]), float(center[1])
 
@@ -162,10 +162,10 @@ def refine_center(
 
         return _box_search(evaluate, cx, cy, step_px, half_steps, max_slides)
 
-    # fused kernel: everything happens on the band vectors
+    # batched kernel: everything happens on the band vectors
     if plan is None:
         if view_ft is None:
-            raise ValueError("need view_ft or an explicit plan for the fused kernel")
+            raise ValueError("need view_ft or an explicit plan for the batched kernel")
         size = require_square(view_ft, "view_ft")
         dc = distance_computer or DistanceComputer(size)
         plan = get_match_plan(dc, size)

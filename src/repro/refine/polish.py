@@ -5,7 +5,7 @@ exist only to localize a minimum the 0.1° level has already bracketed —
 thousands of exhaustively scored candidates per view for what is, by
 then, a smooth 5-parameter least-squares problem.  This module replaces
 them with a damped Gauss–Newton (Levenberg–Marquardt) descent on the
-*continuous* fused-kernel objective
+*continuous* in-band objective
 
     r(θ, φ, ω, cx, cy) = √w · (Ĉ(θ, φ, ω)·m − F̂·shift(−cx, −cy)) ,
     d = ‖r‖ / l² ,

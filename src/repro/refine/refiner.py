@@ -119,11 +119,10 @@ class OrientationRefiner:
         must resolve; 1 reproduces the raw-grid behaviour for ablations.
     kernel:
         ``"batched"`` (default) evaluates whole candidate windows through
-        one stacked in-band kernel with per-view orientation memoization;
-        ``"fused"`` is the per-window in-band kernel without batching or
-        memo (:mod:`repro.align.fused`); ``"reference"`` is the original
-        slice-then-distance path kept for verification.  All three
-        produce numerically identical results.
+        one stacked in-band kernel (:mod:`repro.align.fused`) with
+        per-view orientation memoization; ``"reference"`` is the original
+        slice-then-distance path kept as the test oracle.  Both produce
+        numerically identical results.
     memo:
         Enable the orientation memo cache (batched kernel only): window
         re-centers and level handoffs skip re-scoring candidates already

@@ -6,11 +6,11 @@ center box search (against the winning cut).  The orientation *and* center
 both live in the :class:`~repro.geometry.euler.Orientation` record, so the
 multi-resolution driver simply threads it through the levels.
 
-Two kernels are available.  The default ``kernel="fused"`` gathers the
+Two kernels are available.  The default ``kernel="batched"`` gathers the
 view's in-band samples once and runs every window, slide, and center box
 on band vectors only (see :mod:`repro.align.fused`); ``kernel="reference"``
-is the original slice-then-distance path, kept as a checkable slow
-implementation — the two produce numerically identical results.
+is the original slice-then-distance path, kept as the test oracle — the
+two produce numerically identical results.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def refine_view_at_level(
     refine_centers: bool = True,
     inner_iterations: int = 2,
     cut_modulation: Array | None = None,
-    kernel: str = "fused",
+    kernel: str = "batched",
     memo: OrientationMemo | None = None,
     counters: PerfCounters | None = None,
     prune: PruneParams | None = None,
@@ -96,11 +96,11 @@ def refine_view_at_level(
     the angular window with the corrected center.  The loop exits early
     once neither estimate changes.
 
-    ``kernel`` selects the matching implementation: ``"fused"`` (default,
-    in-band only), ``"batched"`` (in-band, whole-window engine with the
-    optional per-view orientation ``memo`` and ``counters``) or
-    ``"reference"`` (full cut stacks).  All three produce identical
-    numbers; ``memo`` / ``counters`` are ignored outside ``"batched"``.
+    ``kernel`` selects the matching implementation: ``"batched"``
+    (default: in-band, whole-window engine with the optional per-view
+    orientation ``memo`` and ``counters``) or ``"reference"`` (full cut
+    stacks, the test oracle).  Both produce identical numbers; ``memo`` /
+    ``counters`` are ignored by ``"reference"``.
 
     ``prune`` enables the early-termination bound inside each window scan
     (batched kernel only).  ``seed_basins`` — the previous level's top-k
@@ -117,10 +117,10 @@ def refine_view_at_level(
     """
     if inner_iterations < 1:
         raise ValueError("inner_iterations must be >= 1")
-    if kernel not in ("fused", "batched", "reference"):
+    if kernel not in ("batched", "reference"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    fused = kernel in ("fused", "batched")
-    if fused:
+    batched = kernel == "batched"
+    if batched:
         dc = distance_computer or DistanceComputer(view_ft.shape[0])
         plan = get_match_plan(dc, volume_ft.shape[0], interpolation)
         view_band = plan.gather_view(view_ft)
@@ -130,7 +130,7 @@ def refine_view_at_level(
         view_band = None
 
     def _center_pass(current: Orientation) -> tuple[Orientation, float, int, bool]:
-        if fused:
+        if batched:
             cut_band = plan.cut_band(volume_ft, current.matrix())
             center = refine_center(
                 None,
@@ -140,7 +140,7 @@ def refine_view_at_level(
                 half_steps=center_half_steps,
                 max_slides=max_slides,
                 cut_modulation=cut_modulation,
-                kernel="fused",
+                kernel="batched",
                 plan=plan,
                 view_band=view_band,
                 cut_band=cut_band,
@@ -183,7 +183,7 @@ def refine_view_at_level(
                 n_center_total += n_evals
                 slid_center = slid_center or slid
             # step f prerequisite: correct the view to the current center estimate
-            if fused:
+            if batched:
                 corrected_band = plan.phase_shift_band(view_band, -current.cx, -current.cy)
                 window = sliding_window_search(
                     None,
@@ -200,7 +200,7 @@ def refine_view_at_level(
                     memo_center=(current.cx, current.cy),
                     counters=counters,
                     prune=prune,
-                    symmetry=symmetry if kernel == "batched" else None,
+                    symmetry=symmetry,
                 )
             else:
                 corrected = view_ft
@@ -247,7 +247,7 @@ def refine_view_at_level(
     if seed_basins:
         limit = prune.top_k if prune is not None else len(seed_basins)
         seeds = tuple(seed_basins[:limit]) or seeds
-    if symmetry is not None and kernel == "batched":
+    if symmetry is not None and batched:
         seeds = tuple(symmetry.canonicalize(seed) for seed in seeds)
     results = [_refine_from(seed) for seed in seeds]
     best = min(results, key=lambda r: r.distance)

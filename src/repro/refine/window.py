@@ -18,7 +18,7 @@ import numpy as np
 from repro.align.distance import DistanceComputer
 from repro.align.fused import MatchPlan, get_match_plan
 from repro.align.grid import orientation_window
-from repro.align.matcher import MatchResult, match_view, match_view_band, match_view_window
+from repro.align.matcher import MatchResult, match_view, match_view_window
 from repro.align.memo import OrientationMemo
 from repro.arraytypes import Array
 from repro.geometry.euler import Orientation
@@ -81,7 +81,7 @@ def sliding_window_search(
     distance_computer: DistanceComputer | None = None,
     interpolation: str = "trilinear",
     cut_modulation: Array | None = None,
-    kernel: str = "fused",
+    kernel: str = "batched",
     plan: MatchPlan | None = None,
     view_band: Array | None = None,
     memo: OrientationMemo | None = None,
@@ -96,7 +96,7 @@ def sliding_window_search(
     ----------
     view_ft:
         Center-corrected, CTF-corrected centered 2D DFT of the view.  May
-        be ``None`` when ``view_band`` (fused kernel) is supplied instead.
+        be ``None`` when ``view_band`` (batched kernel) is supplied instead.
     volume_ft:
         Centered 3D DFT of the current map.
     center:
@@ -109,28 +109,27 @@ def sliding_window_search(
         Safety bound on re-centerings (the paper's data slid at most once
         per level; noisy data could otherwise walk indefinitely).
     kernel:
-        ``"fused"`` (default) matches on in-band samples only via a
-        :class:`MatchPlan`; ``"batched"`` additionally evaluates each
-        window through the whole-window engine
-        (:meth:`MatchPlan.match_window`) and can consult an orientation
-        ``memo``; ``"reference"`` extracts full cut stacks.  All three
-        produce identical distances.
+        ``"batched"`` (default) matches on in-band samples only, scoring
+        each window through the whole-window engine
+        (:meth:`MatchPlan.match_window`), and can consult an orientation
+        ``memo``; ``"reference"`` extracts full cut stacks and is kept as
+        the test oracle.  Both produce identical distances.
     plan / view_band:
-        Optional precomputed fused state; derived from ``view_ft`` and the
-        volume when omitted.
+        Optional precomputed batched-kernel state; derived from ``view_ft``
+        and the volume when omitted.
     memo / memo_center / counters:
         Batched-kernel extras: the per-view :class:`OrientationMemo`
         (``memo_center`` is the center correction baked into
         ``view_band`` — part of the memo key) and the run's
-        :class:`PerfCounters`.  Ignored by the other kernels.
+        :class:`PerfCounters`.  Ignored by the reference kernel.
     prune:
         Optional :class:`~repro.refine.prune.PruneParams` enabling the
         early-termination bound on the batched kernel.  One
         :class:`~repro.refine.prune.PruneSearch` tracker spans the whole
         (possibly slid) search — candidates re-observed after a slide are
         deduplicated by exact orientation key, so the k-th-best bound only
-        tightens.  Ignored by the other kernels (they score every
-        candidate exactly anyway, which is what makes them the
+        tightens.  Ignored by the reference kernel (it scores every
+        candidate exactly anyway, which is what makes it the
         equivalence oracle).
     symmetry:
         Optional :class:`~repro.refine.restrict.SymmetryRestriction`.  The
@@ -141,12 +140,12 @@ def sliding_window_search(
     """
     if max_slides < 0:
         raise ValueError("max_slides must be non-negative")
-    if kernel not in ("fused", "batched", "reference"):
+    if kernel not in ("batched", "reference"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if kernel in ("fused", "batched"):
+    if kernel == "batched":
         if plan is None:
             if view_ft is None:
-                raise ValueError("need view_ft or an explicit plan for the fused kernel")
+                raise ValueError("need view_ft or an explicit plan for the batched kernel")
             dc = distance_computer or DistanceComputer(view_ft.shape[0])
             plan = get_match_plan(dc, volume_ft.shape[0], interpolation)
         if view_band is None:
@@ -179,12 +178,6 @@ def sliding_window_search(
                 counters=counters,
                 prune=search,
                 symmetry=symmetry,
-            )
-        elif kernel == "fused":
-            assert plan is not None and view_band is not None
-            # repro-lint: allow[RL012] fused oracle branch: exhaustive by design
-            best = match_view_band(
-                view_band, volume_ft, grid, plan, cut_modulation=cut_modulation
             )
         else:
             # repro-lint: allow[RL012] reference oracle branch: exhaustive by design

@@ -95,7 +95,7 @@ def test_engine_fingerprint_mismatch_fails_loudly(chaos_problem, tmp_path):
 
     density = refiner.density
     for variant in (
-        OrientationRefiner(density, max_slides=2, kernel="fused"),
+        OrientationRefiner(density, max_slides=2, kernel="reference"),
         OrientationRefiner(density, max_slides=2, memo=False),
     ):
         with pytest.raises(CheckpointConfigMismatch):

@@ -1,10 +1,13 @@
-"""The fused in-band kernel must reproduce the reference path exactly.
+"""The batched in-band kernel must reproduce the reference path exactly.
 
-Every test here compares ``kernel="fused"`` against ``kernel="reference"``
-(or :class:`MatchPlan` band gathers against full-slice gathers).  The fused
-kernel is constructed to follow the same floating-point expression order as
-the reference, so the required rtol=1e-10 equivalences are in fact
-bit-exact — asserted with ``==`` / ``array_equal`` where possible.
+Every test here compares ``kernel="batched"`` against ``kernel="reference"``
+(or :class:`MatchPlan` band gathers and window distances against
+full-slice gathers and :meth:`DistanceComputer.distance_band`).  The
+batched kernel is constructed to follow the same floating-point expression
+order as the reference, so the required rtol=1e-10 equivalences are in
+fact bit-exact — asserted with ``==`` / ``array_equal`` where possible.
+``fused`` in a test name refers to the module under test,
+:mod:`repro.align.fused`, which holds the batched kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import pytest
 from repro.align.distance import DistanceComputer, radius_weights
 from repro.align.fused import MatchPlan, get_match_plan
 from repro.align.grid import orientation_window
-from repro.align.matcher import match_view, match_view_band
+from repro.align.matcher import match_view, match_view_window
+from repro.engine.env import GATHER_CHUNK_ENV, gather_chunk_samples
 from repro.ctf.model import CTFParams, ctf_2d
 from repro.fourier.slicing import extract_slice, extract_slices
 from repro.geometry.euler import Orientation
@@ -54,7 +58,7 @@ def _computers():
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 @pytest.mark.parametrize("dc_index", range(4))
 def test_cut_bands_match_full_slices(volume_ft, dc_index, interpolation):
-    """Fused band gather == full slice then mask, for every config."""
+    """Band gather == full slice then mask, for every config."""
     dc = _computers()[dc_index]
     plan = MatchPlan(dc, volume_ft.shape[0], interpolation)
     grid = orientation_window(Orientation(40.0, 30.0, 70.0), 2.0, 2)
@@ -75,11 +79,11 @@ def test_match_view_band_equals_match_view(volume_ft, view_ft, dc_index):
     plan = get_match_plan(dc, volume_ft.shape[0])
     grid = orientation_window(Orientation(25.0, 50.0, 10.0), 3.0, 2)
     ref = match_view(view_ft, volume_ft, grid, distance_computer=dc)
-    fused = match_view_band(plan.gather_view(view_ft), volume_ft, grid, plan)
-    assert fused.flat_index == ref.flat_index
-    assert fused.distance == ref.distance
-    assert fused.on_edge == ref.on_edge
-    assert np.array_equal(fused.distances, ref.distances)
+    batched = match_view_window(plan.gather_view(view_ft), volume_ft, grid, plan)
+    assert batched.flat_index == ref.flat_index
+    assert batched.distance == ref.distance
+    assert batched.on_edge == ref.on_edge
+    assert np.array_equal(batched.distances, ref.distances)
 
 
 def test_match_with_ctf_modulation(volume_ft, view_ft):
@@ -89,11 +93,11 @@ def test_match_with_ctf_modulation(volume_ft, view_ft):
     plan = get_match_plan(dc, volume_ft.shape[0])
     grid = orientation_window(Orientation(25.0, 50.0, 10.0), 3.0, 1)
     ref = match_view(view_ft, volume_ft, grid, distance_computer=dc, cut_modulation=mod)
-    fused = match_view_band(
+    batched = match_view_window(
         plan.gather_view(view_ft), volume_ft, grid, plan, cut_modulation=mod
     )
-    assert fused.distance == ref.distance
-    assert np.array_equal(fused.distances, ref.distances)
+    assert batched.distance == ref.distance
+    assert np.array_equal(batched.distances, ref.distances)
 
 
 def test_unpadded_volume_uses_masked_path(volume_ft_unpadded, view_ft):
@@ -103,8 +107,8 @@ def test_unpadded_volume_uses_masked_path(volume_ft_unpadded, view_ft):
     assert not plan.all_interior
     grid = orientation_window(Orientation(65.0, 20.0, 110.0), 4.0, 1)
     ref = match_view(view_ft, volume_ft_unpadded, grid, distance_computer=dc)
-    fused = match_view_band(plan.gather_view(view_ft), volume_ft_unpadded, grid, plan)
-    assert np.array_equal(fused.distances, ref.distances)
+    batched = match_view_window(plan.gather_view(view_ft), volume_ft_unpadded, grid, plan)
+    assert np.array_equal(batched.distances, ref.distances)
 
 
 def test_oversampled_volume_is_interior(volume_ft):
@@ -114,8 +118,9 @@ def test_oversampled_volume_is_interior(volume_ft):
     ``2·(l/2) == c_v`` — so it stays on the masked path.)
     """
     plan = MatchPlan(DistanceComputer(L, r_max=6.0), volume_ft.shape[0])
-    assert plan.all_interior
-    assert not MatchPlan(DistanceComputer(L), volume_ft.shape[0]).all_interior
+    assert plan.all_interior and plan.n_edge_samples == 0
+    full = MatchPlan(DistanceComputer(L), volume_ft.shape[0])
+    assert not full.all_interior and full.n_edge_samples > 0
 
 
 def test_refine_center_fused_equals_reference(volume_ft, view_ft):
@@ -123,11 +128,11 @@ def test_refine_center_fused_equals_reference(volume_ft, view_ft):
     cut = extract_slice(volume_ft, Orientation(33.0, 44.0, 55.0).matrix(), out_size=L)
     kwargs = dict(center=(0.4, -0.2), step_px=0.25, half_steps=1, max_slides=8)
     ref = refine_center(view_ft, cut, distance_computer=dc, kernel="reference", **kwargs)
-    fused = refine_center(view_ft, cut, distance_computer=dc, kernel="fused", **kwargs)
-    assert (fused.cx, fused.cy) == (ref.cx, ref.cy)
-    assert fused.distance == ref.distance
-    assert fused.n_evaluations == ref.n_evaluations
-    assert fused.slid == ref.slid
+    batched = refine_center(view_ft, cut, distance_computer=dc, kernel="batched", **kwargs)
+    assert (batched.cx, batched.cy) == (ref.cx, ref.cy)
+    assert batched.distance == ref.distance
+    assert batched.n_evaluations == ref.n_evaluations
+    assert batched.slid == ref.slid
 
 
 def test_sliding_window_fused_equals_reference(volume_ft, view_ft):
@@ -136,12 +141,12 @@ def test_sliding_window_fused_equals_reference(volume_ft, view_ft):
     kwargs = dict(step_deg=5.0, half_steps=1, max_slides=8, distance_computer=dc)
     start = Orientation(10.0, 80.0, 200.0)
     ref = sliding_window_search(view_ft, volume_ft, start, kernel="reference", **kwargs)
-    fused = sliding_window_search(view_ft, volume_ft, start, kernel="fused", **kwargs)
-    assert fused.orientation.as_tuple() == ref.orientation.as_tuple()
-    assert fused.distance == ref.distance
-    assert fused.n_windows == ref.n_windows
-    assert fused.n_matches == ref.n_matches
-    assert fused.slid == ref.slid
+    batched = sliding_window_search(view_ft, volume_ft, start, kernel="batched", **kwargs)
+    assert batched.orientation.as_tuple() == ref.orientation.as_tuple()
+    assert batched.distance == ref.distance
+    assert batched.n_windows == ref.n_windows
+    assert batched.n_matches == ref.n_matches
+    assert batched.slid == ref.slid
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
@@ -158,11 +163,11 @@ def test_refine_view_at_level_fused_equals_reference(volume_ft, view_ft, interpo
     )
     start = Orientation(50.0, 30.0, 120.0, cx=0.3, cy=-0.4)
     ref = refine_view_at_level(view_ft, volume_ft, start, kernel="reference", **kwargs)
-    fused = refine_view_at_level(view_ft, volume_ft, start, kernel="fused", **kwargs)
-    assert fused.orientation.as_tuple() == ref.orientation.as_tuple()
-    assert fused.distance == ref.distance
-    assert fused.n_matches == ref.n_matches
-    assert fused.n_center_evals == ref.n_center_evals
+    batched = refine_view_at_level(view_ft, volume_ft, start, kernel="batched", **kwargs)
+    assert batched.orientation.as_tuple() == ref.orientation.as_tuple()
+    assert batched.distance == ref.distance
+    assert batched.n_matches == ref.n_matches
+    assert batched.n_center_evals == ref.n_center_evals
 
 
 def test_phase_shift_band_matches_full_shift(view_ft):
@@ -221,20 +226,32 @@ def test_plan_validates_inputs():
         plan.cut_bands(np.zeros((32, 32, 32)), np.eye(4))
 
 
-# -- the batched whole-window engine -----------------------------------------
+# -- chunking and the whole-window entry point --------------------------------
+def _reference_bands(volume_ft, dc, rots, interpolation="trilinear"):
+    """Full slices through ``extract_slices``, then ``dc.gather`` per cut."""
+    cuts = extract_slices(volume_ft, rots, order=interpolation, out_size=L)
+    return np.stack([dc.gather(c) for c in cuts])
+
+
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 @pytest.mark.parametrize("dc_index", range(4))
-def test_cut_bands_batched_equals_cut_bands(volume_ft, dc_index, interpolation):
-    """The stacked interior/edge gather == the per-candidate fused gather."""
+def test_cut_bands_batched_equals_cut_bands(volume_ft, dc_index, interpolation, monkeypatch):
+    """Chunk boundaries are invisible: ``cut_bands`` batched two rotations per
+    chunk (25 rotations, so the last chunk is partial) equals the one-chunk
+    ``cut_bands`` and the full slices, bit for bit."""
     dc = _computers()[dc_index]
     plan = MatchPlan(dc, volume_ft.shape[0], interpolation)
-    grid = orientation_window(Orientation(40.0, 30.0, 70.0), 2.0, 2)
-    rots = grid.rotation_stack()
-    assert np.array_equal(plan.cut_bands_batched(volume_ft, rots), plan.cut_bands(volume_ft, rots))
-    # single-rotation input squeezes exactly like cut_bands
-    assert np.array_equal(
-        plan.cut_bands_batched(volume_ft, rots[3]), plan.cut_band(volume_ft, rots[3])
-    )
+    rots = orientation_window(Orientation(40.0, 30.0, 70.0), 2.0, 2).rotation_stack()
+    expected = _reference_bands(volume_ft, dc, rots, interpolation)
+    monkeypatch.delenv(GATHER_CHUNK_ENV, raising=False)
+    assert plan._rotation_chunk() >= rots.shape[0]
+    one_chunk = plan.cut_bands(volume_ft, rots)
+    monkeypatch.setenv(GATHER_CHUNK_ENV, str(2 * dc.n_samples))
+    assert plan._rotation_chunk() == 2
+    assert np.array_equal(plan.cut_bands(volume_ft, rots), one_chunk)
+    assert np.array_equal(one_chunk, expected)
+    # single-rotation input squeezes to one band vector
+    assert np.array_equal(plan.cut_band(volume_ft, rots[3]), expected[3])
 
 
 @pytest.mark.parametrize("dc_index", range(4))
@@ -243,13 +260,12 @@ def test_match_window_equals_distances(volume_ft, view_ft, dc_index):
     plan = get_match_plan(dc, volume_ft.shape[0])
     band = plan.gather_view(view_ft)
     rots = orientation_window(Orientation(25.0, 50.0, 10.0), 3.0, 2).rotation_stack()
-    assert np.array_equal(
-        plan.match_window(volume_ft, band, rots), plan.distances(volume_ft, band, rots)
-    )
-    # a single (3, 3) rotation keeps the (1,) shape, matching distances()
+    expected = dc.distance_band(dc.gather(view_ft), _reference_bands(volume_ft, dc, rots))
+    assert np.array_equal(plan.match_window(volume_ft, band, rots), expected)
+    # a single (3, 3) rotation keeps the (1,) shape
     one = plan.match_window(volume_ft, band, rots[5])
     assert one.shape == (1,)
-    assert np.array_equal(one, plan.distances(volume_ft, band, rots[5]))
+    assert np.array_equal(one, expected[5:6])
 
 
 def test_match_window_with_ctf_modulation(volume_ft, view_ft):
@@ -262,7 +278,9 @@ def test_match_window_with_ctf_modulation(volume_ft, view_ft):
     rots = orientation_window(Orientation(12.0, 60.0, 300.0), 2.0, 1).rotation_stack()
     assert np.array_equal(
         plan.match_window(volume_ft, band, rots, cut_modulation=modulation),
-        plan.distances(volume_ft, band, rots, cut_modulation=modulation),
+        dc.distance_band(
+            dc.gather(view_ft), _reference_bands(volume_ft, dc, rots), cut_modulation=modulation
+        ),
     )
 
 
@@ -273,47 +291,43 @@ def test_sample_partition_covers_band(volume_ft):
 
 
 def test_gather_chunk_env_override(volume_ft, view_ft, monkeypatch):
-    from repro.align.fused import REPRO_GATHER_CHUNK, _gather_chunk_target
-
     dc = DistanceComputer(L)
     plan = get_match_plan(dc, volume_ft.shape[0])
     band = plan.gather_view(view_ft)
     rots = orientation_window(Orientation(25.0, 50.0, 10.0), 3.0, 2).rotation_stack()
     baseline = plan.match_window(volume_ft, band, rots)
-    monkeypatch.setenv(REPRO_GATHER_CHUNK, "1")
-    assert _gather_chunk_target(1 << 16) == 1
-    assert plan._rotation_chunk(1 << 16) == 1
+    monkeypatch.setenv(GATHER_CHUNK_ENV, "1")
+    assert gather_chunk_samples(1 << 16) == 1
+    assert plan._rotation_chunk() == 1
     # chunking is a pure batching decision: any chunk size, same bits
     assert np.array_equal(plan.match_window(volume_ft, band, rots), baseline)
 
 
 @pytest.mark.parametrize("bad", ["0", "-5", "many", "4.5", ""])
 def test_gather_chunk_env_validation(monkeypatch, bad):
-    from repro.align.fused import REPRO_GATHER_CHUNK, _gather_chunk_target
-
-    monkeypatch.setenv(REPRO_GATHER_CHUNK, bad)
+    monkeypatch.setenv(GATHER_CHUNK_ENV, bad)
     with pytest.raises(ValueError, match="REPRO_GATHER_CHUNK"):
-        _gather_chunk_target(1 << 16)
+        gather_chunk_samples(1 << 16)
 
 
-def test_sliding_window_batched_equals_fused(volume_ft, view_ft):
+def test_sliding_window_memo_equals_reference(volume_ft, view_ft):
     from repro.align.memo import OrientationMemo
     from repro.perf import PerfCounters
 
     dc = DistanceComputer(L)
     kwargs = dict(step_deg=5.0, half_steps=1, max_slides=8, distance_computer=dc)
     start = Orientation(10.0, 80.0, 200.0)
-    fused = sliding_window_search(view_ft, volume_ft, start, kernel="fused", **kwargs)
+    ref = sliding_window_search(view_ft, volume_ft, start, kernel="reference", **kwargs)
     memo = OrientationMemo()
     counters = PerfCounters()
     batched = sliding_window_search(
         view_ft, volume_ft, start, kernel="batched", memo=memo, counters=counters, **kwargs
     )
-    assert batched.orientation.as_tuple() == fused.orientation.as_tuple()
-    assert batched.distance == fused.distance
-    assert batched.n_windows == fused.n_windows
-    assert batched.n_matches == fused.n_matches
-    assert batched.centers == fused.centers
+    assert batched.orientation.as_tuple() == ref.orientation.as_tuple()
+    assert batched.distance == ref.distance
+    assert batched.n_windows == ref.n_windows
+    assert batched.n_matches == ref.n_matches
+    assert batched.centers == ref.centers
     assert counters.window_calls == batched.n_windows
     assert len(memo) > 0
     # second scan from the same start: every candidate comes from the memo

@@ -176,7 +176,7 @@ def test_kernel_boundaries_carry_declared_specs_when_enabled():
         "from repro.fourier import slicing\n"
         "from repro.parallel import viewsched\n"
         "targets = [DistanceComputer.gather, DistanceComputer.distance_band,\n"
-        "           MatchPlan.cut_bands, MatchPlan.distances,\n"
+        "           MatchPlan.cut_bands, MatchPlan.match_window,\n"
         "           slicing.extract_slice, slicing.extract_slices,\n"
         "           viewsched._attach_volume]\n"
         "flags = [hasattr(t, '__array_contract__') for t in targets]\n"

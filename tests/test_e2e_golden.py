@@ -2,9 +2,9 @@
 
 The committed ``tests/golden/refine_tiny.npz`` pins the exact bits a tiny
 phantom refines to on the 1° → 0.1° schedule.  Every execution
-configuration — fused and reference kernels, serial and pooled schedulers
-— must reproduce those bits, which nails down three properties at once:
-the kernels agree, the pool is bit-identical to the serial loop, and the
+configuration — the production batched kernel (with its memo) and the
+reference oracle, serial and pooled schedulers — must reproduce those
+bits, which nails down three properties at once: the kernels agree, the pool is bit-identical to the serial loop, and the
 numerics have not drifted since the golden file was generated
 (``tools/gen_golden.py`` regenerates it after an intentional change).
 """
@@ -108,7 +108,7 @@ def test_pruned_engine_matches_golden(tiny_problem, golden):
     assert run.perf is not None and run.perf.pruned > 0
 
 
-@pytest.mark.parametrize("kernel", ["fused", "reference"])
+@pytest.mark.parametrize("kernel", ["batched", "reference"])
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_refinement_matches_golden(tiny_problem, golden, kernel, n_workers):
     density, views, schedule = tiny_problem

@@ -135,11 +135,11 @@ def test_engine_sim_matches_legacy_parallel_refine_bitwise(phantom16, dataset):
 
     cfg = small_config(
         parallel=ParallelConfig(backend="sim", n_ranks=2),
-        kernel=KernelConfig(kernel="fused"),
+        kernel=KernelConfig(kernel="batched"),
     )
     legacy = parallel_refine(
         dataset, phantom16, n_ranks=2, schedule=cfg.schedule.to_schedule(),
-        r_max=6.0, kernel="fused",
+        r_max=6.0, kernel="batched",
     )
     run = RefinementEngine(cfg).run(dataset, phantom16)
     assert run.backend == "sim"

@@ -4,6 +4,7 @@ and layered resolution with provenance."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.refine.multires import default_schedule
 # -- round-trips -------------------------------------------------------------
 def test_dict_round_trip_is_identity():
     cfg = EngineConfig(
-        kernel=KernelConfig(kernel="fused", gather_chunk=4096),
+        kernel=KernelConfig(kernel="reference", gather_chunk=4096),
         schedule=ScheduleConfig(levels=((1.0, 1.0, 2, 1), (0.5, 0.25, 3, 2))),
         parallel=ParallelConfig(backend="process", n_workers=3),
         memo=MemoConfig(enabled=False, capacity=17),
@@ -38,7 +39,7 @@ def test_toml_round_trip(tmp_path):
     text = (
         "max_slides = 3\n"
         "[kernel]\n"
-        'kernel = "fused"\n'
+        'kernel = "reference"\n'
         "[schedule]\n"
         "levels = [[1.0, 1.0, 2, 1], [0.5, 0.5, 2, 1]]\n"
         "[parallel]\n"
@@ -48,7 +49,7 @@ def test_toml_round_trip(tmp_path):
     path = tmp_path / "run.toml"
     path.write_text(text)
     cfg = load_config(path)
-    assert cfg.kernel.kernel == "fused"
+    assert cfg.kernel.kernel == "reference"
     assert cfg.parallel.backend == "process"
     assert cfg.parallel.n_workers == 2
     assert cfg.max_slides == 3
@@ -135,9 +136,16 @@ def test_invalid_values_rejected(tree):
         EngineConfig.from_dict(tree)
 
 
+def test_retired_fused_kernel_rejected(tmp_path):
+    path = tmp_path / "run.toml"
+    path.write_text('[kernel]\nkernel = "fused"\n')
+    with pytest.raises(ConfigError, match=re.escape("('batched', 'reference')")):
+        load_config(path)
+
+
 def test_load_config_rejects_unknown_suffix(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text("kernel: fused\n")
+    path.write_text("kernel: reference\n")
     with pytest.raises(ConfigError):
         load_config(path)
 
@@ -198,7 +206,7 @@ def test_resolve_defaults_only():
 
 def test_resolve_layering_and_provenance(tmp_path, monkeypatch):
     path = tmp_path / "run.toml"
-    path.write_text('[kernel]\nkernel = "fused"\n[parallel]\nn_workers = 2\n')
+    path.write_text('[kernel]\nkernel = "reference"\n[parallel]\nn_workers = 2\n')
     monkeypatch.setenv("REPRO_GATHER_CHUNK", "2048")
     resolved = resolve_config(
         path,
@@ -206,7 +214,7 @@ def test_resolve_layering_and_provenance(tmp_path, monkeypatch):
         flags={"parallel.n_workers": 4, "parallel.backend": "process"},
     )
     cfg = resolved.config
-    assert cfg.kernel.kernel == "fused"
+    assert cfg.kernel.kernel == "reference"
     assert cfg.kernel.gather_chunk == 2048
     assert cfg.parallel.n_workers == 4  # flag beats file
     assert cfg.max_slides == 2
@@ -257,7 +265,7 @@ def test_merged_scalars_replace_and_validate():
 
 
 def test_merged_revalidates_cross_constraints():
-    base = EngineConfig(kernel=KernelConfig(kernel="fused"))
+    base = EngineConfig(kernel=KernelConfig(kernel="reference"))
     with pytest.raises(ConfigError):
         base.merged({"prune": {"enabled": True}})  # pruning needs batched
 

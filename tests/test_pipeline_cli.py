@@ -130,6 +130,7 @@ REFINE_REQUIRED = [
         (["--levels", ""], "at least one angular step"),
         (["--levels", "1.0,banana"], "comma-separated numbers"),
         (["--levels", "1.0,-0.5"], "must be positive degrees"),
+        (["--kernel", "fused"], "invalid choice: 'fused'"),
     ],
 )
 def test_refine_rejects_bad_arguments(extra, fragment, capsys):
@@ -185,13 +186,13 @@ def test_refine_checkpoint_and_resume(dataset_files, capsys):
 def test_refine_dry_run_prints_resolved_config(capsys):
     """--dry-run resolves and prints the annotated config without any I/O
     (the referenced files don't exist), then exits 0."""
-    rc = main(REFINE_REQUIRED + ["--dry-run", "--workers", "2", "--kernel", "fused"])
+    rc = main(REFINE_REQUIRED + ["--dry-run", "--workers", "2", "--kernel", "reference"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "engine fingerprint:" in out
     assert "environment:" in out
     # explicit flags are annotated as such; untouched fields as defaults
-    assert "kernel.kernel" in out and "'fused'" in out and "[flag]" in out
+    assert "kernel.kernel" in out and "'reference'" in out and "[flag]" in out
     assert "[default]" in out
     assert "parallel.n_workers" in out
 
