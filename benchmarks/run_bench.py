@@ -6,6 +6,8 @@ Measures the performance claims of the kernel work:
   the reference slice-then-distance oracle, on the full multi-resolution
   schedule at the paper-scale view size (l = 64, oversampled D̂),
   including the measured memo hit-rate,
+* the same batched engine with the orientation memo on vs off (wall
+  time and candidates computed; the memo may only skip gathers),
 * the pruned best-first search (exact, bit-identical) and the pruned
   search + continuous polish (toleranced, objective-dominating) vs the
   exhaustive batched engine, with candidates-evaluated counts,
@@ -99,6 +101,51 @@ def measure_batched_vs_reference(
         "speedup": round(timings["reference"] / timings["batched"], 2),
         "memo_hit_rate": round(perf.memo_hit_rate(), 4),
         "candidates_per_second": round(perf.candidates_per_second(), 1),
+        "identical_results": True,
+    }
+
+
+def measure_memo_on_vs_off(
+    size: int = 64,
+    n_views: int = 2,
+    r_max: float | None = None,
+    seed: int = 0,
+) -> dict:
+    """The batched engine with the orientation memo on vs off.
+
+    Same problem and schedule as :func:`measure_batched_vs_reference`; the
+    memo's only effect is skipped gathers, so the two runs must return
+    bit-identical orientations and distances — a mismatch raises.  Records
+    both wall times and the candidates actually computed in each run.
+    """
+    from repro.refine.refiner import OrientationRefiner
+
+    density, views = _make_problem(size, n_views, seed)
+    results = {}
+    timings = {}
+    for memo in (False, True):
+        refiner = OrientationRefiner(density, r_max=r_max, memo=memo)
+        refiner.volume_ft()  # step a excluded: both runs share it unchanged
+        t0 = time.perf_counter()
+        results[memo] = refiner.refine(views)
+        timings[memo] = time.perf_counter() - t0
+    off, on = results[False], results[True]
+    if [o.as_tuple() for o in off.orientations] != [o.as_tuple() for o in on.orientations]:
+        raise AssertionError("memo-on orientations diverged from memo-off")
+    if not np.array_equal(off.distances, on.distances):
+        raise AssertionError("memo-on distances diverged from memo-off")
+    assert off.perf is not None and on.perf is not None
+    return {
+        "size": size,
+        "n_views": n_views,
+        "r_max": size // 2 if r_max is None else r_max,
+        "schedule": "default (1.0, 0.1, 0.01, 0.002 deg)",
+        "memo_off_seconds": round(timings[False], 3),
+        "memo_on_seconds": round(timings[True], 3),
+        "speedup": round(timings[False] / timings[True], 2),
+        "memo_off_gathers": off.perf.gathers,
+        "memo_on_gathers": on.perf.gathers,
+        "memo_hit_rate": round(on.perf.memo_hit_rate(), 4),
         "identical_results": True,
     }
 
@@ -407,6 +454,7 @@ def run_all() -> dict:
     return {
         "engine_fingerprint": engine_fingerprint(),
         "batched_vs_reference": measure_batched_vs_reference(),
+        "memo_on_vs_off": measure_memo_on_vs_off(),
         "pruned_vs_batched": measure_pruned_vs_batched(),
         "symmetric_vs_full": measure_symmetric_vs_full(),
         "symmetry_detect": measure_symmetry_detect(),

@@ -3,7 +3,8 @@
 The acceptance claims: on the full multi-resolution schedule at l = 64 the
 batched whole-window engine (with its orientation memo) beats the
 reference slice-then-distance oracle by at least 4.5× with a nonzero memo
-hit-rate while returning bit-identical results, and the pruned search +
+hit-rate while returning bit-identical results (the memo on vs off is
+recorded, and must be bit-identical too), and the pruned search +
 continuous polish evaluates at least 5× fewer full candidates than the
 batched engine while running at least 2× faster, never regressing any
 view's objective.  The asymmetric-unit restriction on an icosahedral
@@ -20,36 +21,22 @@ from __future__ import annotations
 import json
 import os
 
-from run_bench import (
-    BENCH_FILE,
-    engine_fingerprint,
-    measure_batched_vs_reference,
-    measure_pruned_vs_batched,
-    measure_symmetric_vs_full,
-    measure_symmetry_detect,
-    measure_worker_scaling,
-)
+from run_bench import BENCH_FILE, run_all
 
 
 def test_batched_kernel_speedup(save_artifact):
-    batched = measure_batched_vs_reference(size=64, n_views=2)
-    pruned = measure_pruned_vs_batched(size=64, n_views=2)
-    symmetric = measure_symmetric_vs_full(size=64)
-    detect = measure_symmetry_detect(size=24)
-    workers = measure_worker_scaling(size=32, n_views=8, worker_counts=(1, 2))
-    data = {
-        "engine_fingerprint": engine_fingerprint(),
-        "batched_vs_reference": batched,
-        "pruned_vs_batched": pruned,
-        "symmetric_vs_full": symmetric,
-        "symmetry_detect": detect,
-        "worker_scaling": workers,
-    }
+    data = run_all()
     BENCH_FILE.write_text(json.dumps(data, indent=2) + "\n")
     save_artifact("BENCH_kernels.json", json.dumps(data, indent=2))
+    batched = data["batched_vs_reference"]
+    pruned = data["pruned_vs_batched"]
+    symmetric = data["symmetric_vs_full"]
+    detect = data["symmetry_detect"]
+    workers = data["worker_scaling"]
     assert batched["identical_results"]
     assert batched["speedup"] >= 4.5, f"batched speedup {batched['speedup']}x < 4.5x"
     assert batched["memo_hit_rate"] > 0.0, "memo never hit on a re-centering run"
+    assert data["memo_on_vs_off"]["identical_results"]
     assert pruned["pruned_identity"]["identical_results"]
     assert pruned["pruned_identity"]["candidates_pruned"] > 0
     pp = pruned["pruned_polish"]

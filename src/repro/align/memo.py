@@ -33,6 +33,10 @@ the cached value is the exact same number the matcher stored.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable
+from itertools import chain
+
 import numpy as np
 
 from repro.arraytypes import BoolArray, FloatArray
@@ -63,10 +67,18 @@ def memo_key(orientation: Orientation, center: tuple[float, float]) -> MemoKey:
 class OrientationMemo:
     """Bounded exact-key cache mapping (Euler triple, center shift) -> distance.
 
-    Backed by a plain insertion-ordered dict: Python dicts preserve
-    insertion order, so eviction pops the oldest entry — a FIFO policy
-    that is deterministic and cheap, and whose only possible effect on a
-    run is a missed hit (values are immutable once stored).
+    Backed by an insertion-ordered dict plus a deque of the same keys in
+    the same order.  Eviction pops the deque's left end — the oldest
+    entry — a FIFO policy that is deterministic, O(1) per insert, and
+    whose only possible effect on a run is a missed hit (values are
+    immutable once stored).  The deque, one pointer per entry, is what
+    makes eviction O(1): CPython finds a dict's first key by scanning past
+    every slot deleted at the front of its entry table, so
+    ``next(iter(entries))`` on a full, churning memo walks thousands of
+    dead slots per insert.
+
+    Every insert path (:meth:`put`, :meth:`store_block`,
+    :meth:`import_arrays`) runs the same loop, :meth:`_absorb`.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -74,6 +86,7 @@ class OrientationMemo:
             raise ValueError(f"memo capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._entries: dict[MemoKey, float] = {}
+        self._order: deque[MemoKey] = deque()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -82,15 +95,26 @@ class OrientationMemo:
         return self._entries.get(key)
 
     def put(self, key: MemoKey, distance: float) -> None:
+        self._absorb((key,), (distance,))
+
+    def _absorb(self, keys: Iterable[MemoKey], values: Iterable[float]) -> None:
+        """Insert the pairs in order, exactly as one :meth:`put` per pair would.
+
+        A key already present is skipped — first-stored wins, also for a
+        key repeated inside one block — and a new key evicts the oldest
+        entry when the memo is full, so a key evicted earlier in the same
+        block is stored afresh when it comes round again.
+        """
         entries = self._entries
-        if key in entries:
-            return
-        if len(entries) >= self.capacity:
-            # FIFO eviction: drop the oldest insertions to make room.
-            drop = len(entries) - self.capacity + 1
-            for old in list(entries)[:drop]:
-                del entries[old]
-        entries[key] = distance
+        order = self._order
+        capacity = self.capacity
+        for key, value in zip(keys, values):
+            if key in entries:
+                continue
+            if len(entries) >= capacity:
+                del entries[order.popleft()]
+            entries[key] = value
+            order.append(key)
 
     # -- bulk window interface (used by match_view_window) ------------------
     def lookup_block(self, keys: list[MemoKey]) -> tuple[FloatArray, BoolArray]:
@@ -111,28 +135,26 @@ class OrientationMemo:
         return values, hits
 
     def store_block(self, keys: list[MemoKey], values: FloatArray) -> None:
-        for key, value in zip(keys, values):
-            self.put(key, float(value))
+        self._absorb(keys, np.asarray(values, dtype=np.float64).tolist())
 
     # -- serialization (worker pickles + checkpoint) ------------------------
     def export_arrays(self) -> tuple[FloatArray, FloatArray]:
-        """Dump as ``((n, 5) keys, (n,) values)`` float64 arrays.
+        """Dump as ``((n, 5) keys, (n,) values)`` float64 arrays, oldest first.
 
         Array export is lossless (keys are already float64) and far
         cheaper to pickle than a large dict of tuples.
         """
         n = len(self._entries)
-        keys = np.empty((n, 5), dtype=np.float64)
-        values = np.empty(n, dtype=np.float64)
-        for i, (key, value) in enumerate(self._entries.items()):
-            keys[i] = key
-            values[i] = value
+        keys = np.fromiter(
+            chain.from_iterable(self._entries), dtype=np.float64, count=5 * n
+        ).reshape(n, 5)
+        values = np.fromiter(self._entries.values(), dtype=np.float64, count=n)
         return keys, values
 
     def import_arrays(self, keys: FloatArray, values: FloatArray) -> None:
         """Absorb exported arrays (insertion order = array order)."""
-        for row, value in zip(np.asarray(keys, dtype=np.float64), values):
-            self.put((row[0], row[1], row[2], row[3], row[4]), float(value))
+        columns = np.asarray(keys, dtype=np.float64).T.tolist()
+        self._absorb(zip(*columns), np.asarray(values, dtype=np.float64).tolist())
 
 
 class MemoStore:

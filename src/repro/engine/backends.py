@@ -421,19 +421,13 @@ class SimBackend(ExecutionBackend):
         from repro.parallel.machine import SP2_LIKE
         from repro.parallel.prefine import parallel_refine
 
-        cfg = self.config
         return parallel_refine(
             views,
             density,
-            n_ranks=cfg.parallel.n_ranks,
-            schedule=cfg.schedule.to_schedule(),
             machine=machine if machine is not None else SP2_LIKE,
-            r_max=cfg.r_max,
-            pad_factor=cfg.pad_factor,
-            refine_centers=cfg.refine_centers,
             orientation_file=orientation_file,
             fault_plan=self.fault_plan,
-            kernel=cfg.kernel.kernel,
+            config=self.config,
         )
 
 

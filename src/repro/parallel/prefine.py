@@ -119,7 +119,7 @@ def parallel_refine(
     ``config`` supplies everything as one validated
     :class:`~repro.engine.config.EngineConfig` (``parallel.n_ranks``,
     ``schedule``, ``r_max``, ``pad_factor``, ``refine_centers``,
-    ``kernel.kernel``); the individual kwargs above are the deprecation
+    ``kernel.kernel``, ``memo.capacity``); the individual kwargs above are the deprecation
     shim and are ignored when it is given.  Both spellings run the
     identical simulation.
     """
@@ -204,7 +204,7 @@ def parallel_refine(
         level_matches: list[int] = []
         total_matches = 0
         batched = kernel == "batched"
-        memo_store = MemoStore() if batched else None
+        memo_store = MemoStore(config.memo.capacity) if batched else None
         counters = PerfCounters() if batched else None
         for level in sched:
             n_matches_level = 0

@@ -301,6 +301,26 @@ def _attach_volume(descriptor: tuple[str, tuple[int, ...], str]) -> Array:
 ChunkReturn = tuple[list[ViewLevelResult], dict[int, tuple[Array, Array]] | None, PerfCounters | None]
 
 
+def _memo_payload(memo_store: MemoStore | None, chunk: Array) -> dict[str, Any]:
+    """The chunk payload's memo fields: its views' warm state and the capacity."""
+    if memo_store is None:
+        return {"memo_states": None}
+    return {
+        "memo_states": memo_store.subset_state([int(i) for i in chunk]),
+        "memo_capacity": memo_store.capacity,
+    }
+
+
+def _worker_memo_store(payload: dict[str, Any]) -> MemoStore | None:
+    """A worker-local memo seeded from the payload, at the master's capacity."""
+    memo_states = payload.get("memo_states")
+    if memo_states is None:
+        return None
+    memo_store = MemoStore(payload["memo_capacity"])
+    memo_store.import_state(memo_states)
+    return memo_store
+
+
 def _worker_refine_chunk(payload: dict[str, Any]) -> ChunkReturn:
     """Run one chunk of views in a worker process (module-level: picklable).
 
@@ -311,8 +331,9 @@ def _worker_refine_chunk(payload: dict[str, Any]) -> ChunkReturn:
 
     When the payload carries ``memo_states`` the worker seeds a local
     :class:`MemoStore` from them (warm entries from earlier levels /
-    chunks of the same views), and its final state rides back in the
-    return value so the scheduler can absorb it into the master store.
+    chunks of the same views) at the master store's ``memo_capacity``,
+    and its final state rides back in the return value so the scheduler
+    can absorb it into the master store.
     """
     fault_plan: FaultPlan | None = payload.get("fault_plan")
     site: str = payload.get("site", "")
@@ -332,11 +353,7 @@ def _worker_refine_chunk(payload: dict[str, Any]) -> ChunkReturn:
         _WORKER_SPECS[spec_id] = payload["distance_computer"]
     dc = _WORKER_SPECS[spec_id]
     indices = payload["indices"]
-    memo_states = payload.get("memo_states")
-    memo_store: MemoStore | None = None
-    if memo_states is not None:
-        memo_store = MemoStore()
-        memo_store.import_state(memo_states)
+    memo_store = _worker_memo_store(payload)
     counters = PerfCounters() if payload.get("collect_perf") else None
     results = refine_level_serial(
         volume,
@@ -484,11 +501,7 @@ def _worker_polish_chunk(payload: dict[str, Any]) -> PolishChunkReturn:
         _WORKER_SPECS[spec_id] = payload["distance_computer"]
     dc = _WORKER_SPECS[spec_id]
     indices = payload["indices"]
-    memo_states = payload.get("memo_states")
-    memo_store: MemoStore | None = None
-    if memo_states is not None:
-        memo_store = MemoStore()
-        memo_store.import_state(memo_states)
+    memo_store = _worker_memo_store(payload)
     counters = PerfCounters() if payload.get("collect_perf") else None
     results = polish_level_serial(
         volume,
@@ -793,9 +806,7 @@ class ViewScheduler:
                 if seed_basins is None
                 else [seed_basins[i] for i in chunk],
                 "indices": chunk,
-                "memo_states": None
-                if memo_store is None
-                else memo_store.subset_state([int(i) for i in chunk]),
+                **_memo_payload(memo_store, chunk),
                 "collect_perf": counters is not None,
                 "fault_plan": self.fault_plan if self.fault_plan.specs else None,
                 "site": chunk_site(seq, cid),
@@ -1039,9 +1050,7 @@ class ViewScheduler:
                 if seed_basins is None
                 else [seed_basins[i] for i in chunk],
                 "indices": chunk,
-                "memo_states": None
-                if memo_store is None
-                else memo_store.subset_state([int(i) for i in chunk]),
+                **_memo_payload(memo_store, chunk),
                 "collect_perf": counters is not None,
             }
             submitted.append((cid, executor.submit(_worker_polish_chunk, payload)))

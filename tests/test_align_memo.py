@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.align.memo import DEFAULT_CAPACITY, MemoStore, OrientationMemo, memo_key
 from repro.geometry.euler import Orientation
@@ -51,6 +52,14 @@ def test_capacity_validation():
     with pytest.raises(ValueError):
         OrientationMemo(capacity=0)
     assert OrientationMemo().capacity == DEFAULT_CAPACITY
+
+
+def test_default_capacity_has_one_value():
+    """The engine's memo default mirrors the memo's own (it may not import it)."""
+    from repro.engine.config import DEFAULT_MEMO_CAPACITY, MemoConfig
+
+    assert DEFAULT_MEMO_CAPACITY == DEFAULT_CAPACITY
+    assert MemoConfig().capacity == DEFAULT_CAPACITY
 
 
 def test_lookup_block_and_store_block():
@@ -145,3 +154,83 @@ def test_checkpoint_memo_header_roundtrip_is_exact(tmp_path):
         want_keys, want_values = ckpt.memo[view]
         assert np.array_equal(keys, want_keys)  # exact: float.hex round-trip
         assert np.array_equal(values, want_values)
+
+
+# -- the memo against a reference FIFO model (hypothesis) ---------------------
+class FifoModel:
+    """The memo's contract spelled out: a key list (oldest first) plus a dict."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.keys: list[tuple[float, ...]] = []
+        self.values: dict[tuple[float, ...], float] = {}
+
+    def put(self, k: tuple[float, ...], value: float) -> None:
+        if k in self.values:
+            return  # first stored wins
+        if len(self.keys) >= self.capacity:
+            del self.values[self.keys.pop(0)]
+        self.keys.append(k)
+        self.values[k] = value
+
+
+#: a small key pool, so puts, blocks and imports keep colliding
+pool_keys = st.integers(0, 11).map(key)
+memo_values = st.floats(allow_nan=False, width=64)
+blocks = st.lists(st.tuples(pool_keys, memo_values), max_size=20)
+memo_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.tuples(pool_keys, memo_values)),
+        st.tuples(st.just("store_block"), blocks),
+        st.tuples(st.just("import_arrays"), blocks),
+    ),
+    max_size=12,
+)
+
+
+@given(capacity=st.integers(1, 16), ops=memo_ops)
+@settings(max_examples=300, deadline=None)
+def test_memo_matches_fifo_model(capacity, ops):
+    memo = OrientationMemo(capacity=capacity)
+    model = FifoModel(capacity)
+    for op, arg in ops:
+        if op == "put":
+            memo.put(*arg)
+            model.put(*arg)
+            continue
+        keys = [k for k, _ in arg]
+        values = np.array([v for _, v in arg], dtype=np.float64)
+        if op == "store_block":
+            memo.store_block(keys, values)
+        else:
+            memo.import_arrays(np.array(keys, dtype=np.float64).reshape(-1, 5), values)
+        for k, v in zip(keys, values.tolist()):
+            model.put(k, v)
+        assert len(memo) == len(model.keys)
+    exported_keys, exported_values = memo.export_arrays()
+    assert exported_keys.shape == (len(model.keys), 5)
+    assert [tuple(row) for row in exported_keys.tolist()] == model.keys
+    want = np.array([model.values[k] for k in model.keys], dtype=np.float64)
+    # bitwise: first-stored wins down to the sign of zero
+    assert exported_values.tobytes() == want.tobytes()
+    for i in range(12):
+        assert memo.get(key(i)) == model.values.get(key(i))
+    # the exported arrays rebuild the same memo, order included
+    clone = OrientationMemo(capacity=capacity)
+    clone.import_arrays(exported_keys, exported_values)
+    clone_keys, clone_values = clone.export_arrays()
+    assert clone_keys.tobytes() == exported_keys.tobytes()
+    assert clone_values.tobytes() == exported_values.tobytes()
+
+
+def test_store_block_reinserts_a_key_evicted_earlier_in_the_block():
+    """Eviction interleaves with the block's inserts, as a run of puts would."""
+    memo = OrientationMemo(capacity=2)
+    memo.put(key(0), 0.5)
+    # key(0) is present when the block starts, evicted by key(2), and
+    # stored afresh (with the block's value) when it comes round again
+    memo.store_block([key(0), key(1), key(2), key(0)], np.array([9.0, 1.0, 2.0, 7.0]))
+    keys, values = memo.export_arrays()
+    assert keys[:, 0].tolist() == [2.0, 0.0]
+    assert values.tolist() == [2.0, 7.0]
+

@@ -150,6 +150,60 @@ def test_engine_sim_matches_legacy_parallel_refine_bitwise(phantom16, dataset):
     assert np.array_equal(run.distances, legacy.distances)
 
 
+def test_process_backend_honours_memo_capacity(phantom16, dataset, monkeypatch):
+    """Pool workers build their memos at ``memo.capacity``, not the default.
+
+    Every per-view state a worker ships back passes through the master
+    store's ``import_state``; at capacity 64 none may exceed 64 rows, and
+    the pooled run stays bit-identical to the serial one.
+    """
+    from repro.align.memo import MemoStore
+    from repro.engine.config import MemoConfig
+
+    capacity = 64
+    shipped: list[int] = []
+    real_import = MemoStore.import_state
+
+    def recording_import(self, state):
+        shipped.extend(len(values) for _, values in state.values())
+        real_import(self, state)
+
+    monkeypatch.setattr(MemoStore, "import_state", recording_import)
+    memo = MemoConfig(capacity=capacity)
+    serial = RefinementEngine(small_config(memo=memo)).run(dataset, phantom16)
+    assert shipped == []  # the serial path never imports
+    cfg = small_config(memo=memo, parallel=ParallelConfig(backend="process", n_workers=2))
+    pooled = RefinementEngine(cfg).run(dataset, phantom16)
+    assert pooled.backend == "process"
+    assert shipped and max(shipped) <= capacity
+    assert [o.as_tuple() for o in pooled.orientations] == [
+        o.as_tuple() for o in serial.orientations
+    ]
+    assert np.array_equal(pooled.distances, serial.distances)
+
+
+def test_sim_backend_honours_memo_capacity(phantom16, dataset):
+    """The simulated cluster's memo is sized by ``memo.capacity`` too.
+
+    A 64-entry memo holds less than one window's candidates, so it must
+    hit less often than the default one — with bit-identical results.
+    """
+    from repro.engine.config import MemoConfig
+
+    def run(memo: MemoConfig):
+        cfg = small_config(parallel=ParallelConfig(backend="sim", n_ranks=2), memo=memo)
+        return RefinementEngine(cfg).run(dataset, phantom16)
+
+    small, default = run(MemoConfig(capacity=64)), run(MemoConfig())
+    assert small.perf is not None and default.perf is not None
+    assert small.perf.candidates == default.perf.candidates
+    assert small.perf.memo_hits < default.perf.memo_hits
+    assert [o.as_tuple() for o in small.orientations] == [
+        o.as_tuple() for o in default.orientations
+    ]
+    assert np.array_equal(small.distances, default.distances)
+
+
 # -- engine guard rails ------------------------------------------------------
 def test_engine_sim_rejects_raw_stacks(phantom16, dataset):
     cfg = small_config(parallel=ParallelConfig(backend="sim", n_ranks=2))
