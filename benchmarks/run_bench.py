@@ -7,7 +7,8 @@ Measures the performance claims of the kernel work:
   schedule at the paper-scale view size (l = 64, oversampled D̂),
   including the measured memo hit-rate,
 * the same batched engine with the orientation memo on vs off (wall
-  time and candidates computed; the memo may only skip gathers),
+  time and candidates computed; the memo may only skip gathers), on the
+  asymmetric problem and on an icosahedral one restricted to ``fixed:I``,
 * the pruned best-first search (exact, bit-identical) and the pruned
   search + continuous polish (toleranced, objective-dominating) vs the
   exhaustive batched engine, with candidates-evaluated counts,
@@ -105,26 +106,20 @@ def measure_batched_vs_reference(
     }
 
 
-def measure_memo_on_vs_off(
-    size: int = 64,
-    n_views: int = 2,
-    r_max: float | None = None,
-    seed: int = 0,
-) -> dict:
-    """The batched engine with the orientation memo on vs off.
+def _memo_on_vs_off(density, views, config: dict) -> dict:
+    """Refine ``views`` with the memo off, then on, under ``config``.
 
-    Same problem and schedule as :func:`measure_batched_vs_reference`; the
-    memo's only effect is skipped gathers, so the two runs must return
-    bit-identical orientations and distances — a mismatch raises.  Records
-    both wall times and the candidates actually computed in each run.
+    The memo's only effect is skipped gathers, so the two runs must return
+    bit-identical orientations and distances — a mismatch raises.
     """
+    from repro.engine.config import EngineConfig
     from repro.refine.refiner import OrientationRefiner
 
-    density, views = _make_problem(size, n_views, seed)
     results = {}
     timings = {}
     for memo in (False, True):
-        refiner = OrientationRefiner(density, r_max=r_max, memo=memo)
+        cfg = EngineConfig.from_dict({**config, "memo": {"enabled": memo}})
+        refiner = OrientationRefiner(density, config=cfg)
         refiner.volume_ft()  # step a excluded: both runs share it unchanged
         t0 = time.perf_counter()
         results[memo] = refiner.refine(views)
@@ -136,10 +131,6 @@ def measure_memo_on_vs_off(
         raise AssertionError("memo-on distances diverged from memo-off")
     assert off.perf is not None and on.perf is not None
     return {
-        "size": size,
-        "n_views": n_views,
-        "r_max": size // 2 if r_max is None else r_max,
-        "schedule": "default (1.0, 0.1, 0.01, 0.002 deg)",
         "memo_off_seconds": round(timings[False], 3),
         "memo_on_seconds": round(timings[True], 3),
         "speedup": round(timings[False] / timings[True], 2),
@@ -148,6 +139,48 @@ def measure_memo_on_vs_off(
         "memo_hit_rate": round(on.perf.memo_hit_rate(), 4),
         "identical_results": True,
     }
+
+
+def measure_memo_on_vs_off(
+    size: int = 64,
+    n_views: int = 2,
+    r_max: float | None = None,
+    seed: int = 0,
+    symmetric_size: int = 32,
+    symmetric_views: int = 4,
+) -> dict:
+    """The batched engine with the orientation memo on vs off.
+
+    Same problem and schedule as :func:`measure_batched_vs_reference`,
+    plus a ``symmetric`` row: an icosahedral phantom refined under
+    ``symmetry.mode = "fixed:I"``, where the memo keys on the same exact
+    floats and must be bit-identical on and off too (DESIGN.md §13).
+    Records both wall times and the candidates actually computed in each
+    run.
+    """
+    from repro.imaging.simulate import simulate_views
+    from repro.pipeline.datasets import phantom_for
+
+    density, views = _make_problem(size, n_views, seed)
+    row = {
+        "size": size,
+        "n_views": n_views,
+        "r_max": size // 2 if r_max is None else r_max,
+        "schedule": "default (1.0, 0.1, 0.01, 0.002 deg)",
+        **_memo_on_vs_off(density, views, {"r_max": r_max}),
+    }
+    capsid = phantom_for("sindbis", symmetric_size, seed=seed)
+    capsid_views = simulate_views(
+        capsid, symmetric_views, initial_angle_error_deg=2.0, center_sigma_px=0.5, seed=seed
+    )
+    row["symmetric"] = {
+        "size": symmetric_size,
+        "n_views": symmetric_views,
+        "symmetry": "fixed:I",
+        "schedule": "default (1.0, 0.1, 0.01, 0.002 deg)",
+        **_memo_on_vs_off(capsid, capsid_views, {"symmetry": {"mode": "fixed:I"}}),
+    }
+    return row
 
 
 def measure_pruned_vs_batched(

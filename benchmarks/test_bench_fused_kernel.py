@@ -4,7 +4,8 @@ The acceptance claims: on the full multi-resolution schedule at l = 64 the
 batched whole-window engine (with its orientation memo) beats the
 reference slice-then-distance oracle by at least 4.5× with a nonzero memo
 hit-rate while returning bit-identical results (the memo on vs off is
-recorded, and must be bit-identical too), and the pruned search +
+recorded, and must be bit-identical too, also under a ``fixed:I``
+restriction), and the pruned search +
 continuous polish evaluates at least 5× fewer full candidates than the
 batched engine while running at least 2× faster, never regressing any
 view's objective.  The asymmetric-unit restriction on an icosahedral
@@ -37,6 +38,7 @@ def test_batched_kernel_speedup(save_artifact):
     assert batched["speedup"] >= 4.5, f"batched speedup {batched['speedup']}x < 4.5x"
     assert batched["memo_hit_rate"] > 0.0, "memo never hit on a re-centering run"
     assert data["memo_on_vs_off"]["identical_results"]
+    assert data["memo_on_vs_off"]["symmetric"]["identical_results"]
     assert pruned["pruned_identity"]["identical_results"]
     assert pruned["pruned_identity"]["candidates_pruned"] > 0
     pp = pruned["pruned_polish"]

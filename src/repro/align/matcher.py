@@ -26,7 +26,6 @@ from repro.perf import PerfCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an align->refine cycle)
     from repro.refine.prune import PruneSearch
-    from repro.refine.restrict import SymmetryRestriction
 
 __all__ = ["MatchResult", "match_view", "match_view_window"]
 
@@ -107,21 +106,12 @@ def match_view(
     )
 
 
-def _grid_memo_keys(
-    grid: OrientationGrid,
-    center: tuple[float, float],
-    symmetry: "SymmetryRestriction | None" = None,
-) -> list[MemoKey]:
-    """Memo keys for every grid candidate in :meth:`rotation_stack` C-order.
+def _grid_memo_keys(grid: OrientationGrid, center: tuple[float, float]) -> list[MemoKey]:
+    """Exact-float memo keys for every grid candidate, in :meth:`rotation_stack` order.
 
-    Without ``symmetry`` the keys are the exact-float Euler tuples (the
-    bit-identity doctrine of :mod:`repro.align.memo`).  With a restriction
-    they are the *canonical quantized* keys of
-    :meth:`repro.refine.restrict.SymmetryRestriction.memo_keys`, so
-    G-equivalent candidates share one memo slot (DESIGN.md §13).
+    Restricted and unrestricted searches use the same keys, so the memo's
+    bit-identity doctrine (:mod:`repro.align.memo`) holds under symmetry too.
     """
-    if symmetry is not None:
-        return symmetry.memo_keys(grid.rotation_stack(), center)
     cx, cy = float(center[0]), float(center[1])
     return [
         (t, p, o, cx, cy)
@@ -141,7 +131,6 @@ def match_view_window(
     memo_center: tuple[float, float] = (0.0, 0.0),
     counters: PerfCounters | None = None,
     prune: PruneSearch | None = None,
-    symmetry: "SymmetryRestriction | None" = None,
 ) -> MatchResult:
     """Steps f–h with the batched window engine and the orientation memo.
 
@@ -167,11 +156,6 @@ def match_view_window(
     the memo (only their lower bound is known); every candidate at or
     below the k-th best is exactly scored, so the argmin — and the
     reported minimum — stay bit-identical to the exhaustive call.
-
-    ``symmetry`` (a :class:`repro.refine.restrict.SymmetryRestriction`)
-    switches the memo/prune keys to canonical-modulo-G quantized keys, so
-    symmetry-equivalent candidates share cache slots; the result contract
-    relaxes from bit-identity to equal-modulo-the-group (DESIGN.md §13).
     """
     w = grid.size
     n_pruned = 0
@@ -183,7 +167,7 @@ def match_view_window(
         )
         n_gathered, n_hits = w, 0
     else:
-        keys = _grid_memo_keys(grid, memo_center, symmetry=symmetry)
+        keys = _grid_memo_keys(grid, memo_center)
         if memo is None:
             distances = np.zeros(w)
             hits = np.zeros(w, dtype=bool)

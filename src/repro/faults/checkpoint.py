@@ -43,6 +43,7 @@ from repro.refine.stats import RefinementStats
 __all__ = [
     "CHECKPOINT_FORMAT",
     "LOOP_CHECKPOINT_FORMAT",
+    "MEMO_KEY_FORMAT",
     "CheckpointConfigMismatch",
     "LoopCheckpoint",
     "LoopIterationEntry",
@@ -61,6 +62,11 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "repro-checkpoint v1"
 LOOP_CHECKPOINT_FORMAT = "repro-loop-checkpoint v1"
+#: How the keys in a checkpoint's ``memo`` header were built.  Every path
+#: now keys the memo on the exact candidate floats; checkpoints written
+#: before this marker existed keyed symmetry-restricted runs on canonical,
+#: rounded angles instead, which must never seed an exact-key memo.
+MEMO_KEY_FORMAT = "exact"
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,11 @@ class RefinementCheckpoint:
         (``float.hex`` round-trip), so a resumed run's memo hits — and
         therefore its skipped gathers — pick up exactly where the killed
         run stopped, with bit-identical results either way.
+    memo_key_format:
+        The ``keys`` marker of the memo header (:data:`MEMO_KEY_FORMAT`),
+        ``None`` for a header written before the marker existed.  A
+        symmetry-restricted run resumes from an unmarked memo with an
+        empty memo instead (the memo is a cache, so results are unchanged).
     """
 
     schedule_fingerprint: str
@@ -95,6 +106,7 @@ class RefinementCheckpoint:
     distances: Array
     stats: RefinementStats
     memo: dict[int, tuple[Array, Array]] | None = None
+    memo_key_format: str | None = MEMO_KEY_FORMAT
     #: Per-view multi-basin state (``prune.top_k``/``polish.n_best`` > 1):
     #: one tuple of basin-center orientations per view, ``None`` entries
     #: for views without tracked basins, ``None`` overall for single-basin
@@ -115,25 +127,34 @@ class RefinementCheckpoint:
 
 def _memo_to_json(memo: dict[int, tuple[Array, Array]]) -> str:
     """Lossless JSON for a memo export: every float as ``float.hex()``."""
-    payload = {
+    views = {
         str(idx): {
             "k": [[float(x).hex() for x in row] for row in np.asarray(keys).tolist()],
             "v": [float(x).hex() for x in np.asarray(values).tolist()],
         }
         for idx, (keys, values) in memo.items()
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({"keys": MEMO_KEY_FORMAT, "views": views}, sort_keys=True)
 
 
-def _memo_from_json(obj: dict) -> dict[int, tuple[Array, Array]]:
+def _memo_from_json(obj: dict) -> tuple[dict[int, tuple[Array, Array]], str | None]:
+    """Inverse of :func:`_memo_to_json`: ``(memo, key_format)``.
+
+    An unmarked header is the older layout — the per-view mapping itself,
+    with no key-format marker — and reports ``None``.
+    """
+    if "views" in obj:
+        views, key_format = obj["views"], obj.get("keys")
+    else:
+        views, key_format = obj, None
     out: dict[int, tuple[Array, Array]] = {}
-    for idx, entry in obj.items():
+    for idx, entry in views.items():
         keys = np.array(
             [[float.fromhex(x) for x in row] for row in entry["k"]], dtype=np.float64
         ).reshape(-1, 5)
         values = np.array([float.fromhex(x) for x in entry["v"]], dtype=np.float64)
         out[int(idx)] = (keys, values)
-    return out
+    return out, key_format
 
 
 def _basins_to_json(basins: list[tuple[Orientation, ...] | None]) -> str:
@@ -235,7 +256,9 @@ def load_checkpoint(path: str) -> RefinementCheckpoint:
             f"{path}: meta claims {meta['n_views']} views, file holds {len(orientations)}"
         )
     stats = RefinementStats(**meta["stats"])
-    memo = _memo_from_json(header["memo"]) if "memo" in header else None
+    memo, memo_key_format = (
+        _memo_from_json(header["memo"]) if "memo" in header else (None, MEMO_KEY_FORMAT)
+    )
     basins = _basins_from_json(header["basins"]) if "basins" in header else None
     return RefinementCheckpoint(
         schedule_fingerprint=str(meta["schedule_fingerprint"]),
@@ -244,6 +267,7 @@ def load_checkpoint(path: str) -> RefinementCheckpoint:
         distances=np.asarray(scores, dtype=float),
         stats=stats,
         memo=memo,
+        memo_key_format=memo_key_format,
         engine_fingerprint=str(meta.get("engine_fingerprint", "")),
         basins=basins,
     )

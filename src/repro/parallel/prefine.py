@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.align.distance import DistanceComputer
 from repro.align.memo import MemoStore
 from repro.ctf.correct import phase_flip
 from repro.ctf.model import CTFParams
@@ -47,6 +46,7 @@ from repro.refine.refiner import (
     STEP_FFT_ANALYSIS,
     STEP_READ_IMAGE,
     STEP_REFINEMENT,
+    distance_computer_for,
 )
 from repro.parallel.viewsched import refine_level_serial
 from repro.utils import StepTimer, Timer
@@ -118,10 +118,12 @@ def parallel_refine(
 
     ``config`` supplies everything as one validated
     :class:`~repro.engine.config.EngineConfig` (``parallel.n_ranks``,
-    ``schedule``, ``r_max``, ``pad_factor``, ``refine_centers``,
-    ``kernel.kernel``, ``memo.capacity``); the individual kwargs above are the deprecation
-    shim and are ignored when it is given.  Both spellings run the
-    identical simulation.
+    ``schedule``, ``kernel``, ``memo``, ``max_slides``, ``refine_centers``,
+    ``pad_factor``, ``ctf_correction`` and the distance settings
+    ``r_max``/``weighting``/``normalized_distance``, honoured exactly as
+    the serial refiner honours them); the individual kwargs above are the
+    deprecation shim and are ignored when it is given.  Both spellings run
+    the identical simulation.
     """
     # Imported lazily: repro.engine must stay importable before this
     # package (its env module is read at kernel import time).
@@ -144,7 +146,6 @@ def parallel_refine(
     n_ranks = config.parallel.n_ranks
     sched = config.schedule.to_schedule()
     size = density.size
-    rmax = float(size // 2 if config.r_max is None else config.r_max)
     pad_factor = config.pad_factor
     refine_centers = config.refine_centers
     m = len(views)
@@ -185,11 +186,11 @@ def parallel_refine(
         comm.account_flops(
             2 * local_images.shape[0] * size * fft_flops_1d(size), STEP_FFT_ANALYSIS
         )
-        dc = DistanceComputer(size, r_max=rmax)
+        dc = distance_computer_for(config, size)
         # step e — CTF correction (one pass over each transform) plus the
         # matching |CTF| modulation imposed on cuts during the search
         modulations: list[np.ndarray | None] = [None] * local_images.shape[0]
-        if local_ctf is not None:
+        if local_ctf is not None and config.ctf_correction == "phase_flip":
             from repro.ctf.model import ctf_2d
 
             cache: dict[CTFParams, np.ndarray] = {}
@@ -204,7 +205,9 @@ def parallel_refine(
         level_matches: list[int] = []
         total_matches = 0
         batched = kernel == "batched"
-        memo_store = MemoStore(config.memo.capacity) if batched else None
+        memo_store = (
+            MemoStore(config.memo.capacity) if batched and config.memo.enabled else None
+        )
         counters = PerfCounters() if batched else None
         for level in sched:
             n_matches_level = 0
@@ -221,6 +224,8 @@ def parallel_refine(
                 distance_computer=dc,
                 refine_centers=refine_centers,
                 kernel=kernel,
+                interpolation=config.kernel.interpolation,
+                max_slides=config.max_slides,
                 memo_store=memo_store,
                 view_indices=[int(i) for i in local_idx],
                 counters=counters,

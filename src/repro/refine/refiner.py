@@ -57,6 +57,20 @@ STEP_REFINEMENT = "Orientation refinement"
 STEP_SYMMETRY = "Symmetry detection"
 
 
+def distance_computer_for(config: EngineConfig, size: int) -> DistanceComputer:
+    """The matching distance ``config`` asks for at view size ``size``.
+
+    Band ``r ≤ r_max`` (``size // 2`` when unset), ``weighting`` and
+    ``normalized_distance`` — shared by every driver so the serial, pooled
+    and simulated-cluster runs score candidates identically.
+    """
+    r_max = float(size // 2 if config.r_max is None else config.r_max)
+    weights = None if config.weighting == "none" else radius_weights(size, config.weighting, r_max)
+    return DistanceComputer(
+        size, r_max=r_max, weights=weights, normalized=config.normalized_distance
+    )
+
+
 @dataclass
 class RefinementResult:
     """Everything one refinement iteration produces.
@@ -177,16 +191,8 @@ class OrientationRefiner:
         self.config = config
         self.density = density
         self.size = density.size
-        self.r_max = float(self.size // 2 if config.r_max is None else config.r_max)
-        w = (
-            None
-            if config.weighting == "none"
-            else radius_weights(self.size, config.weighting, self.r_max)
-        )
-        self.distance_computer = DistanceComputer(
-            self.size, r_max=self.r_max, weights=w,
-            normalized=config.normalized_distance,
-        )
+        self.distance_computer = distance_computer_for(config, self.size)
+        self.r_max = self.distance_computer.r_max
         self.interpolation = config.kernel.interpolation
         self.ctf_correction = config.ctf_correction
         self.kernel = config.kernel.kernel
@@ -393,6 +399,7 @@ class OrientationRefiner:
             from dataclasses import replace as _replace
 
             from repro.faults.checkpoint import (
+                MEMO_KEY_FORMAT,
                 RefinementCheckpoint,
                 save_checkpoint,
                 try_load_checkpoint,
@@ -418,9 +425,14 @@ class OrientationRefiner:
                     distances = np.asarray(found.distances, dtype=float).copy()
                     stats = found.stats
                     start_level = found.levels_done
-                    if memo_store is not None and found.memo is not None:
+                    if memo_store is not None and found.memo is not None and (
+                        found.memo_key_format == MEMO_KEY_FORMAT
+                        or not self.config.symmetry.enabled
+                    ):
                         # warm memo from the killed run: resumed levels
-                        # skip the gathers the dead run already paid for
+                        # skip the gathers the dead run already paid for.
+                        # An unmarked memo from a symmetric run holds
+                        # canonical keys, not exact ones: start it empty.
                         memo_store.import_state(found.memo)
                     if track_basins and found.basins is not None:
                         # multi-basin state rides the checkpoint header:
@@ -460,7 +472,7 @@ class OrientationRefiner:
         # Symmetry restriction (DESIGN.md §13): resolved once per iteration
         # against the *current* map — a fixed group by name, or a detection
         # run fanned out through the backend.  The restriction then rides
-        # every level (and memo key) below.
+        # every level below, where it canonicalizes each view's seeds.
         restriction = None
         symmetry_group: str | None = None
         if self.config.symmetry.enabled:

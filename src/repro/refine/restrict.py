@@ -7,10 +7,9 @@ icosahedral capsid.  This module is the search-side consumer of
 :mod:`repro.geometry.symmetry`:
 
 * :class:`SymmetryRestriction` — a picklable, worker-safe wrapper around a
-  group's rotation matrices with the three operations the hot path needs:
+  group's rotation matrices with the operations the hot path needs:
   vectorized canonicalization of a candidate stack into the asymmetric
-  unit, AU membership masks for coarse grids, and canonical (quantized)
-  memo keys so symmetry-equivalent candidates share memo hits;
+  unit and AU membership masks for coarse grids;
 * :func:`resolve_restriction` — turn an
   :class:`~repro.engine.config.SymmetryConfig` into a restriction, either
   from a trusted ``fixed:<group>`` name or by running
@@ -22,16 +21,14 @@ whose view direction has the largest z-component (ties by x, then y, keys
 rounded to 9 decimals, first group element wins ties) — the vectorized
 stack path and the scalar path agree element-for-element.
 
-**Memo-key semantics.** The orientation memo's doctrine is exact-float
-keys (bit-identity, DESIGN.md §9).  Under a symmetry restriction the
-contract is deliberately weaker — *equal modulo the group within
-interpolation tolerance* — because two G-equivalent candidates gather
-different lattice neighborhoods and differ in the last few ulps.  Keys are
-therefore the canonical representative's Euler angles rounded to 1e-6
-degrees (three orders below the finest grid step), so equivalents
-collapse onto one slot; centers stay exact.  This quantization is active
-**only** when a restriction is passed — symmetry-off runs keep the exact
-keys and the bit-identity oracle untouched.
+**Memo keys stay exact.**  Symmetry equivalence belongs to the search,
+not to the cache key: seeds are canonicalized into the asymmetric unit
+before each level and windows are local, so a restricted search almost
+never meets two G-equivalent candidates.  The orientation memo and the
+prune tracker therefore key on the same exact ``(θ, φ, ω, cx, cy)``
+floats as a symmetry-off run, and the memo's bit-identity doctrine
+(DESIGN.md §9) holds here too: memo on and memo off are bitwise equal.
+Only "restricted equals exhaustive" is modulo the group (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -51,18 +48,11 @@ from repro.geometry.symmetry import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an engine cycle)
-    from repro.align.memo import MemoKey
     from repro.density.map import DensityMap
     from repro.engine.backends import ExecutionBackend
     from repro.engine.config import SymmetryConfig
 
 __all__ = ["SymmetryRestriction", "resolve_restriction"]
-
-#: Memo keys quantize canonical Euler angles to this many decimal degrees.
-#: 1e-6° is ~500× below the finest grid step the schedule ever uses
-#: (0.002°), so distinct grid candidates can never collide — only
-#: G-equivalent ones can.
-KEY_DECIMALS = 6
 
 
 def _lex_gt(a: Array, b: Array) -> BoolArray:
@@ -82,28 +72,6 @@ def _direction_keys(directions: Array) -> Array:
     )
 
 
-def _matrix_stack_to_euler(mats: Array) -> tuple[Array, Array, Array]:
-    """Vectorized :func:`repro.geometry.euler.matrix_to_euler` over (n, 3, 3).
-
-    Matches the scalar function branch-for-branch, including the
-    gimbal-lock split at ``sin θ < 1e-6``.
-    """
-    ct = np.clip(mats[:, 2, 2], -1.0, 1.0)
-    theta = np.degrees(np.arccos(ct))
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    lock = st < 1e-6
-    with np.errstate(invalid="ignore"):
-        phi = np.where(lock, 0.0, np.degrees(np.arctan2(mats[:, 1, 2], mats[:, 0, 2])))
-        omega_free = np.degrees(np.arctan2(mats[:, 2, 1], -mats[:, 2, 0]))
-    omega_lock = np.where(
-        ct > 0,
-        np.degrees(np.arctan2(mats[:, 1, 0], mats[:, 0, 0])),
-        np.degrees(np.arctan2(mats[:, 1, 0], -mats[:, 0, 0])),
-    )
-    omega = np.where(lock, omega_lock, omega_free)
-    return theta, phi % 360.0, omega % 360.0
-
-
 @dataclass(frozen=True)
 class SymmetryRestriction:
     """A point group packaged for the search hot path.
@@ -111,8 +79,8 @@ class SymmetryRestriction:
     Holds only a name and the ``(order, 3, 3)`` rotation stack, so it
     pickles cheaply into worker payloads (:mod:`repro.parallel.viewsched`)
     and compares by value in config plumbing.  All the canonicalization
-    math is vectorized over candidate stacks — the matcher calls this once
-    per window, never per candidate.
+    math is vectorized over candidate stacks: one pass per group element,
+    never per candidate.
     """
 
     group_name: str
@@ -164,17 +132,6 @@ class SymmetryRestriction:
                 best_key[better] = key[better]
         canonical = np.einsum("wij,wjk->wik", self.matrices[best_idx], rots)
         return canonical, best_idx
-
-    # -- memo keys -----------------------------------------------------------
-    def memo_keys(self, rotations: Array, center: tuple[float, float]) -> "list[MemoKey]":
-        """Canonical quantized memo keys for a candidate stack (see module doc)."""
-        canonical, _ = self.canonicalize_stack(rotations)
-        theta, phi, omega = _matrix_stack_to_euler(canonical)
-        theta = np.round(theta, KEY_DECIMALS).tolist()
-        phi = np.round(phi, KEY_DECIMALS).tolist()
-        omega = np.round(omega, KEY_DECIMALS).tolist()
-        cx, cy = float(center[0]), float(center[1])
-        return [(t, p, o, cx, cy) for t, p, o in zip(theta, phi, omega)]
 
     # -- asymmetric-unit grids -----------------------------------------------
     def asymmetric_unit_mask(self, rotations: Array) -> BoolArray:

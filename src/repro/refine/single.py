@@ -112,8 +112,8 @@ def refine_view_at_level(
     ``symmetry`` (a :class:`~repro.refine.restrict.SymmetryRestriction`,
     batched kernel only) canonicalizes the incoming seed(s) into the
     asymmetric unit before searching — the local window walk then stays
-    near the AU by construction — and threads the group into the window
-    search so memo keys canonicalize modulo G (DESIGN.md §13).
+    near the AU by construction (DESIGN.md §13).  Memo and prune keys stay
+    the exact candidate floats, so memo on and off are bitwise equal.
     """
     if inner_iterations < 1:
         raise ValueError("inner_iterations must be >= 1")
@@ -200,7 +200,6 @@ def refine_view_at_level(
                     memo_center=(current.cx, current.cy),
                     counters=counters,
                     prune=prune,
-                    symmetry=symmetry,
                 )
             else:
                 corrected = view_ft

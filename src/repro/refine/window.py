@@ -11,7 +11,6 @@ the re-scans counted in :attr:`SlidingWindowResult.n_matches`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +23,6 @@ from repro.arraytypes import Array
 from repro.geometry.euler import Orientation
 from repro.perf import PerfCounters
 from repro.refine.prune import PruneParams, PruneSearch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a refine cycle)
-    from repro.refine.restrict import SymmetryRestriction
 
 __all__ = ["SlidingWindowResult", "sliding_window_search"]
 
@@ -88,7 +84,6 @@ def sliding_window_search(
     memo_center: tuple[float, float] = (0.0, 0.0),
     counters: PerfCounters | None = None,
     prune: PruneParams | None = None,
-    symmetry: "SymmetryRestriction | None" = None,
 ) -> SlidingWindowResult:
     """Steps f–i for one view at one angular resolution.
 
@@ -131,12 +126,6 @@ def sliding_window_search(
         tightens.  Ignored by the reference kernel (it scores every
         candidate exactly anyway, which is what makes it the
         equivalence oracle).
-    symmetry:
-        Optional :class:`~repro.refine.restrict.SymmetryRestriction`.  The
-        window itself stays local (centers are canonicalized into the
-        asymmetric unit *before* this call, by the per-level refiner), but
-        memo keys canonicalize modulo the group so equivalent candidates
-        near AU boundaries share cache slots.  Batched kernel only.
     """
     if max_slides < 0:
         raise ValueError("max_slides must be non-negative")
@@ -177,7 +166,6 @@ def sliding_window_search(
                 memo_center=memo_center,
                 counters=counters,
                 prune=search,
-                symmetry=symmetry,
             )
         else:
             # repro-lint: allow[RL012] reference oracle branch: exhaustive by design

@@ -354,3 +354,62 @@ def test_symmetry_mode_mismatch_fails_loudly(chaos_problem, tmp_path):
         variant = OrientationRefiner(density, config=cfg)
         with pytest.raises(CheckpointConfigMismatch):
             variant.refine(views, schedule=schedule, checkpoint_path=ckpt, resume=True)
+
+
+def _strip_memo_key_format(path: str) -> None:
+    """Rewrite ``path``'s ``memo`` header in the layout used before the
+    key-format marker (the bare per-view mapping), with every cached
+    distance poisoned to -1 so a resume that imports the memo shows it."""
+    import json
+
+    with open(path) as fh:
+        lines = fh.readlines()
+    for i, line in enumerate(lines):
+        if line.startswith("# memo "):
+            views = json.loads(line[len("# memo "):])["views"]
+            for entry in views.values():
+                entry["v"] = [(-1.0).hex()] * len(entry["v"])
+            lines[i] = f"# memo {json.dumps(views, sort_keys=True)}\n"
+            break
+    else:
+        raise AssertionError("checkpoint has no memo header")
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def test_unmarked_memo_is_dropped_on_symmetric_resume(chaos_problem, baseline, tmp_path):
+    """A memo header without the key-format marker was written when
+    symmetry-restricted runs keyed the memo on canonical, rounded angles.
+    A symmetric run resumed from one starts with an empty memo: poisoned
+    cached distances change nothing.  A symmetry-off run still imports an
+    unmarked memo, whose keys were always exact."""
+    from repro.engine.config import EngineConfig
+    from repro.faults.checkpoint import MEMO_KEY_FORMAT
+    from repro.refine.refiner import OrientationRefiner
+
+    views, refiner, schedule = chaos_problem
+    cfg = EngineConfig.from_dict({**refiner.config.to_dict(), "symmetry": {"mode": "fixed:C4"}})
+    symmetric = OrientationRefiner(refiner.density, config=cfg)
+    fresh = symmetric.refine(views, schedule=schedule)
+    ckpt = str(tmp_path / "run.ckpt")
+    interrupted_run((views, symmetric, schedule), ckpt)
+    marked = load_checkpoint(ckpt)
+    assert marked.memo_key_format == MEMO_KEY_FORMAT and marked.memo
+
+    _strip_memo_key_format(ckpt)
+    legacy = load_checkpoint(ckpt)
+    assert legacy.memo_key_format is None
+    assert legacy.memo is not None and legacy.memo.keys() == marked.memo.keys()
+    for idx, (keys, _) in marked.memo.items():
+        assert np.array_equal(legacy.memo[idx][0], keys)
+    resumed = symmetric.refine(views, schedule=schedule, checkpoint_path=ckpt, resume=True)
+    assert_identical(resumed, fresh)
+
+    # symmetry off: the unmarked (poisoned) memo is imported, so it shows
+    plain = str(tmp_path / "plain.ckpt")
+    interrupted_run(chaos_problem, plain)
+    _strip_memo_key_format(plain)
+    warm = refiner.refine(views, schedule=schedule, checkpoint_path=plain, resume=True)
+    assert [o.as_tuple() for o in warm.orientations] != [
+        o.as_tuple() for o in baseline.orientations
+    ]

@@ -133,9 +133,11 @@ def test_engine_process_matches_serial_bitwise(phantom16, dataset):
 def test_engine_sim_matches_legacy_parallel_refine_bitwise(phantom16, dataset):
     from repro.parallel import parallel_refine
 
+    # the legacy kwargs have no max_slides: compare at its default
     cfg = small_config(
         parallel=ParallelConfig(backend="sim", n_ranks=2),
         kernel=KernelConfig(kernel="batched"),
+        max_slides=EngineConfig().max_slides,
     )
     legacy = parallel_refine(
         dataset, phantom16, n_ranks=2, schedule=cfg.schedule.to_schedule(),
@@ -202,6 +204,42 @@ def test_sim_backend_honours_memo_capacity(phantom16, dataset):
         o.as_tuple() for o in default.orientations
     ]
     assert np.array_equal(small.distances, default.distances)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"max_slides": 0},
+        {"memo": {"enabled": False}},
+        {"weighting": "radius", "normalized_distance": True},
+        {"kernel": {"interpolation": "nearest"}},
+    ],
+    ids=["no-slides", "memo-off", "weighted-normalized", "nearest"],
+)
+def test_sim_backend_honours_engine_config(phantom16, dataset, overrides):
+    """The simulated cluster runs what its config says, as the serial
+    backend does: same bits, same window scans and memo traffic.  (It used
+    to slide up to 8 times, memoize with the memo off, and score with an
+    unweighted, unnormalized distance and trilinear cuts.)"""
+    cfg = small_config().to_dict()
+    for key, value in overrides.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    serial = RefinementEngine(EngineConfig.from_dict(cfg)).run(dataset, phantom16)
+    sim_cfg = {**cfg, "parallel": {"backend": "sim", "n_ranks": 2}}
+    sim = RefinementEngine(EngineConfig.from_dict(sim_cfg)).run(dataset, phantom16)
+    assert sim.backend == "sim"
+    assert sim.perf is not None and serial.perf is not None
+    assert sim.perf.window_calls == serial.perf.window_calls
+    assert sim.perf.memo_lookups == serial.perf.memo_lookups
+    if overrides.get("max_slides") == 0:
+        # one window per inner iteration: views × levels × 2
+        assert sim.perf.window_calls == len(dataset) * len(SCHED_LEVELS) * 2
+    if overrides.get("memo") == {"enabled": False}:
+        assert sim.perf.memo_lookups == 0
+    assert [o.as_tuple() for o in sim.orientations] == [
+        o.as_tuple() for o in serial.orientations
+    ]
+    assert np.array_equal(sim.distances, serial.distances)
 
 
 # -- engine guard rails ------------------------------------------------------

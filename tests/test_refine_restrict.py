@@ -5,13 +5,14 @@ Two layers of guarantee, tested separately:
 * the *geometry* is exact — vectorized canonicalization agrees
   element-for-element with the scalar
   :func:`~repro.geometry.symmetry.reduce_to_asymmetric_unit`, the AU mask
-  is the canonicalization fixed point, and memo keys collapse exactly the
-  G-equivalent candidates;
+  is the canonicalization fixed point;
 * the *search* restricted to one asymmetric unit matches the exhaustive
   search **modulo the group within interpolation tolerance** (not
   bitwise — G-equivalent candidates gather different lattice
   neighborhoods), across batched and pruned kernels, and stays bitwise
-  reproducible across worker counts.
+  reproducible across worker counts;
+* the *memo* keeps its bit-identity doctrine under a restriction: keys are
+  the exact candidate floats, so memo on and memo off are bitwise equal.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.geometry.symmetry import (
     group_from_name,
     icosahedral_group,
     reduce_to_asymmetric_unit,
-    tetrahedral_group,
 )
 from repro.refine.restrict import SymmetryRestriction, resolve_restriction
 
@@ -81,19 +81,6 @@ def test_restricted_grid_and_reduction_factor():
     phis = np.array([v[1] for v in kept])
     rots = euler_to_matrix(thetas, phis, np.zeros_like(thetas))
     assert restriction.asymmetric_unit_mask(rots).all()
-
-
-def test_memo_keys_collapse_equivalents_only():
-    group = tetrahedral_group()
-    restriction = SymmetryRestriction.from_group(group)
-    rots = _rotation_stack(20, seed=9)
-    keys = restriction.memo_keys(rots, (0.25, -0.5))
-    for g in group.matrices[1:]:
-        shifted = np.einsum("ij,wjk->wik", g, rots)
-        assert restriction.memo_keys(shifted, (0.25, -0.5)) == keys
-    # distinct orientations keep distinct keys, centers ride along exactly
-    assert len(set(keys)) == len(keys)
-    assert all(k[3:] == (0.25, -0.5) for k in keys)
 
 
 def test_restriction_pickles_without_cache():
@@ -224,3 +211,46 @@ def test_restricted_search_matches_exhaustive_mod_group(name, kernel, seed):
         o.as_tuple() for o in restricted2.orientations
     ]
     assert np.array_equal(restricted.distances, restricted2.distances)
+
+
+# -- memo on == memo off, bitwise, under a restriction ------------------------
+@pytest.mark.parametrize("name", ["I", "C4"])
+def test_restricted_memo_on_off_is_bitwise(name):
+    """Restricted refinement keys the memo and the prune tracker on exact
+    floats, so memo on and memo off give the same bits — under the batched
+    and the pruned kernel, on the serial and a 2-worker process backend.
+    One view starts on the pole, where windows cross θ = 0 and many grid
+    triples name the same rotation: canonical memo keys merged those
+    candidates and handed back a neighbour's distance (memo on and off
+    then differed by 0.005 in the C4 pole view's distance)."""
+    from repro.engine.config import EngineConfig
+    from repro.engine.core import RefinementEngine
+    from repro.geometry.euler import Orientation
+    from repro.imaging.simulate import simulate_views
+
+    density = symmetric_phantom(group_from_name(name), size=16, seed=4).normalized()
+    truth = [Orientation(0.0, 40.0, 10.0), *random_orientations(2, seed=11)]
+    views = simulate_views(
+        density, len(truth), orientations=truth, center_sigma_px=0.5, seed=2
+    )
+    runs = {}
+    for kernel in ("batched", "pruned"):
+        for backend, workers in (("serial", 1), ("process", 2)):
+            for memo in (True, False):
+                cfg = EngineConfig.from_dict({
+                    "schedule": {"levels": [[2.0, 1.0, 2, 1], [1.0, 0.5, 2, 1]]},
+                    "symmetry": {"mode": f"fixed:{name}"},
+                    "prune": {"enabled": kernel == "pruned"},
+                    "memo": {"enabled": memo},
+                    "parallel": {"backend": backend, "n_workers": workers},
+                })
+                runs[kernel, backend, memo] = RefinementEngine(cfg).run(views, density)
+    base = runs["batched", "serial", False]
+    assert base.symmetry_group == name
+    for key, run in runs.items():
+        assert np.array_equal(
+            [o.as_tuple() for o in run.orientations],
+            [o.as_tuple() for o in base.orientations],
+        ), key
+        assert np.array_equal(run.distances, base.distances), key
+    assert runs["batched", "serial", True].perf.memo_hits > 0

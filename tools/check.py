@@ -31,6 +31,9 @@ Runs, in order:
 8b. the iterate-smoke subset (``-m iterate_smoke``) as its own named step
    — the tiny end-to-end slice of the outer refine↔reconstruct loop
    (streaming == barriered == checkpoint-resumed, DESIGN.md §14),
+8c. the benchmark's own tests (``perfbench/tests``) as a named step —
+   they install every tracer wrapper the benchmark puts on ``src/``, so
+   renaming a traced symbol fails here rather than in a benchmark run,
 9. the scenario matrix (``-m scenarios``, tests/scenarios/) as its own
    named step — the accuracy-regression harness of DESIGN.md §12, which
    rewrites ``BENCH_scenarios.json`` and fails if any workload trips its
@@ -100,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             ("pytest[symmetry-smoke]", ["-x", "-q", "-m", "symmetry_smoke"]),
             ("pytest[accuracy-gate]", ["-x", "-q", "-m", "accuracy_gate"]),
             ("pytest[iterate-smoke]", ["-x", "-q", "-m", "iterate_smoke"]),
+            ("pytest[perfbench]", ["-x", "-q", "perfbench/tests"]),
             ("pytest[scenarios]", ["-x", "-q", "-m", "scenarios"]),
         ]
         if not args.no_chaos:
